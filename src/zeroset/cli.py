@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,7 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        cmd.add_argument("--workers", type=int, default=1, help="worker cap; never changes results")
+        cmd.add_argument(
+            "--workers", type=int, default=1,
+            help="worker cap, at most the available CPUs; never changes results",
+        )
         cmd.add_argument("--dump-mesh", default=None, help="write extracted mesh primitives as CSV")
         if name == "sharpness":
             cmd.add_argument(
@@ -130,6 +134,13 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="comma-separated increasing n values (default 4,16,64,256,1024 for d=2; 8,64,512 for d=3)",
             )
     return parser
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (the cap on --workers)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -141,7 +152,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if args.scheme
         else _default_scheme(dimension, args.seed)
     )
-    resolution = args.resolution if args.resolution else _default_resolution(dimension)
+    resolution = _default_resolution(dimension) if args.resolution is None else args.resolution
+    if resolution < 1:
+        raise ValueError("--resolution must be positive")
     n_values = None
     if args.command == "sharpness":
         text = args.n_list
@@ -161,7 +174,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         box=box,
         scheme=scheme,
         resolution=resolution,
-        workers=max(1, args.workers),
+        workers=max(1, min(args.workers, _available_cpus())),
         out=args.out,
         format=args.format,
         dump_mesh=args.dump_mesh,

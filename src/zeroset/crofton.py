@@ -14,6 +14,12 @@ Per-line counts are certified (exact Sturm counts), and both schemes sample
 at exact rational base points, so every estimate is an exact rational that
 is only converted to float for reporting.  All reductions are integer sums,
 which makes results bit-identical regardless of worker count.
+
+The line loop never leaves Z.  Every base point of one axis shares a
+denominator D, so it is a tuple of integer numerators N with x = N/D.  The
+coefficients of p in x_k, scaled to integers once per axis and homogenized
+over D, evaluate at N to a positive integer multiple of the restricted
+polynomial, which `count_int_roots` counts directly.
 """
 
 from __future__ import annotations
@@ -25,8 +31,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polynomial import Polynomial, RationalLike, TrivialPolynomialError, _coerce
-from .rng import unit_fraction
-from .sturm import RootCount, count_real_roots
+# unit_fraction is the rational form of the Monte Carlo draws below; it stays
+# importable from here because perfbench's tracer wraps crofton.unit_fraction.
+from .rng import UNIT_BITS, mix64, unit_fraction  # noqa: F401
+from .sturm import RootCount, count_int_roots, count_real_roots
 
 DEFAULT_SEED = 20240601
 DEFAULT_CONFIDENCE = 0.95
@@ -60,7 +68,10 @@ class Box:
             parts = group.split(",")
             if len(parts) != 2:
                 raise ValueError(f"expected 'a,b' in box spec, got {group!r}")
-            intervals.append((Fraction(parts[0].strip()), Fraction(parts[1].strip())))
+            try:
+                intervals.append((Fraction(parts[0].strip()), Fraction(parts[1].strip())))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in box spec {group!r}") from None
         if len(intervals) == 1 and dimension > 1:
             intervals = intervals * dimension
         if len(intervals) != dimension:
@@ -203,25 +214,84 @@ def line_count(p: Polynomial, box: Box, k: int, base: Sequence[RationalLike]) ->
     return count_real_roots(p.restrict_to_line(k, base), lo, hi)
 
 
-def _grid_base_point(projected: Box, n: int, index: int) -> tuple[Fraction, ...]:
-    """Midpoint of base cell `index` (row-major over axes in ascending order)."""
-    coords = []
-    for a, b in reversed(projected.intervals):
-        index, i = divmod(index, n)
-        coords.append(a + (2 * i + 1) * (b - a) / (2 * n))
-    return tuple(reversed(coords))
+def _scaled(x: Fraction, scale: int) -> int:
+    """x * scale for a scale that x's denominator divides."""
+    return x.numerator * (scale // x.denominator)
 
 
-def _mc_base_point(
-    projected: Box, seed: int, stream: int, index: int
-) -> tuple[Fraction, ...]:
-    """Sample `index` of the given stream: exact dyadic coordinates in the box."""
-    m = projected.dimension
-    offset = (stream + index) * m
-    return tuple(
-        a + (b - a) * unit_fraction(seed, offset + j)
-        for j, (a, b) in enumerate(projected.intervals)
-    )
+def _coefficient_tables(p: Polynomial, k: int, scale: int) -> list[list[tuple]]:
+    """Per power j of x_k, the terms of L * scale**m * q_j(N / scale) in the numerators N.
+
+    q_j are the coefficients of p in x_k (`coefficients_in`), L clears every
+    coefficient denominator and m is the largest total degree of a term in
+    the other variables.  Each term is (integer factor, ((base axis,
+    exponent), ...)), so evaluating the tables at N gives a positive multiple
+    of p restricted to the axis-k line through N / scale.
+    """
+    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    m = max(sum(e) - e[k - 1] for e in p.terms)
+    return [
+        [
+            (
+                _scaled(c, lcm) * scale ** (m - sum(e)),
+                tuple((i, x) for i, x in enumerate(e) if x),
+            )
+            for e, c in q.terms.items()
+        ]
+        for q in p.coefficients_in(k)
+    ]
+
+
+def _grid_numerators(projected: Box, n: int, den: int, start: int, stop: int):
+    """Numerators over 2n*den of the midpoints of base cells start..stop-1 (row-major)."""
+    spans = [
+        (_scaled(a, 2 * n * den), _scaled(b - a, den)) for a, b in reversed(projected.intervals)
+    ]
+    for index in range(start, stop):
+        point = []
+        for low, width in spans:
+            index, i = divmod(index, n)
+            point.append(low + (2 * i + 1) * width)
+        point.reverse()
+        yield point
+
+
+def _mc_numerators(projected: Box, den: int, seed: int, stream: int, start: int, stop: int):
+    """Numerators over 2**53*den of samples start..stop-1 of the stream (as `unit_fraction`)."""
+    spans = [(_scaled(a, den << UNIT_BITS), _scaled(b - a, den)) for a, b in projected.intervals]
+    m = len(spans)
+    for index in range(start, stop):
+        offset = (stream + index) * m
+        yield [
+            low + width * (mix64(seed, offset + j) >> (64 - UNIT_BITS))
+            for j, (low, width) in enumerate(spans)
+        ]
+
+
+def _line_counts(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, stop: int):
+    """Distinct-root counts (None for a line inside the zero set) of lines start..stop-1."""
+    projected = box.project(k)
+    lo, hi = (x.as_integer_ratio() for x in box.interval(k))
+    den = math.lcm(*(x.denominator for pair in projected.intervals for x in pair))
+    if isinstance(scheme, GridScheme):
+        n = scheme.points_per_axis
+        scale = 2 * n * den
+        points = _grid_numerators(projected, n, den, start, stop)
+    else:
+        scale = den << UNIT_BITS
+        stream = (k - 1) * scheme.samples
+        points = _mc_numerators(projected, den, scheme.seed, stream, start, stop)
+    tables = _coefficient_tables(p, k, scale)
+    for point in points:
+        coefficients = []
+        for terms in tables:
+            value = 0
+            for factor, powers in terms:
+                for i, e in powers:
+                    factor *= point[i] ** e
+                value += factor
+            coefficients.append(value)
+        yield count_int_roots(coefficients, lo, hi)
 
 
 def _count_range(args) -> tuple[int, int]:
@@ -230,22 +300,13 @@ def _count_range(args) -> tuple[int, int]:
     Returns (sum of finite counts, number of identically-zero lines).  Runs
     in worker processes; integer sums make the reduction order-free.
     """
-    p, box, k, scheme, start, stop = args
-    projected = box.project(k)
-    lo, hi = box.interval(k)
-    stream = (k - 1) * scheme.samples if isinstance(scheme, MonteCarloScheme) else 0
     total = 0
     degenerate = 0
-    for index in range(start, stop):
-        if isinstance(scheme, GridScheme):
-            base = _grid_base_point(projected, scheme.points_per_axis, index)
-        else:
-            base = _mc_base_point(projected, scheme.seed, stream, index)
-        outcome = count_real_roots(p.restrict_to_line(k, base), lo, hi)
-        if outcome.identically_zero:
+    for count in _line_counts(*args):
+        if count is None:
             degenerate += 1
         else:
-            total += outcome.count
+            total += count
     return total, degenerate
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+UNIT_BITS = 53
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -22,5 +23,5 @@ def mix64(seed: int, counter: int) -> int:
 
 
 def unit_fraction(seed: int, counter: int) -> Fraction:
-    """Dyadic rational in [0, 1) with 53 random bits."""
-    return Fraction(mix64(seed, counter) >> 11, 1 << 53)
+    """Dyadic rational in [0, 1) with UNIT_BITS = 53 random bits."""
+    return Fraction(mix64(seed, counter) >> (64 - UNIT_BITS), 1 << UNIT_BITS)

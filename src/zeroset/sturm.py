@@ -4,12 +4,15 @@ Root counts use Sturm chains with exact arithmetic.  The chain is built from
 the square-free part of the input, so multiple roots are counted once: the
 count is the cardinality of the root *set* inside the closed interval.
 
-Internally the chain lives in Z[t]: the input is scaled to integer
-coefficients and the remainder sequence is computed with pseudo-divisions,
-dividing out integer content at each step.  Every element is therefore a
-*positive* rational multiple of the classical chain element, which leaves
-all sign variations (and hence all counts) unchanged while avoiding
-fraction blow-up.
+Internally everything lives in Z[t].  `count_int_roots` takes an integer
+coefficient list and an interval with integer numerator/denominator
+endpoints; `count_real_roots` scales a rational polynomial to such a list
+and calls it.  Degrees 0 and 1 are decided without a chain.  From degree 2
+on, the remainder sequence is computed with pseudo-divisions, dividing out
+integer content at each step.  Every element is therefore a *positive*
+rational multiple of the classical chain element, which leaves all sign
+variations (and hence all counts) unchanged while avoiding fraction
+blow-up.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .polynomial import TrivialPolynomialError, UnivariatePolynomial
 # Integer polynomial: coefficient list, index = power, last entry nonzero
 # (empty list = zero polynomial).
 IntPoly = list[int]
+# Exact rational point as (numerator, denominator), denominator positive.
+Ratio = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -168,9 +173,9 @@ def _to_int_poly(u: UnivariatePolynomial) -> IntPoly:
     return [int(c.numerator * (lcm // c.denominator)) for c in u.coefficients]
 
 
-def _sign_at(c: IntPoly, x: Fraction) -> int:
-    """Sign of c evaluated at the rational x, via homogenized integer Horner."""
-    num, den = x.numerator, x.denominator
+def _sign_at(c: IntPoly, x: Ratio) -> int:
+    """Sign of c evaluated at x = num/den, via homogenized integer Horner."""
+    num, den = x
     value = 0
     dpow = 1
     for coefficient in reversed(c):
@@ -191,11 +196,9 @@ def _variations(signs: Sequence[int]) -> int:
     return count
 
 
-def _int_chain(u: UnivariatePolynomial) -> list[IntPoly]:
-    """Sturm chain of the square-free part of u, over Z."""
-    if u.is_zero:
-        raise TrivialPolynomialError("Sturm chain of the zero polynomial is undefined")
-    work = _primitive(_strip(_to_int_poly(u)))
+def _int_chain(c: IntPoly) -> list[IntPoly]:
+    """Sturm chain of the square-free part of c (nonzero, stripped), over Z."""
+    work = _primitive(c)
     if len(work) == 1:
         return [work]
     g = _gcd_int(work, _derivative_int(work))
@@ -211,7 +214,7 @@ def _int_chain(u: UnivariatePolynomial) -> list[IntPoly]:
     return chain
 
 
-def _variations_at(chain: list[IntPoly], x: Fraction) -> int:
+def _variations_at(chain: list[IntPoly], x: Ratio) -> int:
     return _variations([_sign_at(c, x) for c in chain])
 
 
@@ -232,7 +235,9 @@ class SturmChain:
     __slots__ = ("_ints", "_polys")
 
     def __init__(self, u: UnivariatePolynomial):
-        self._ints = _int_chain(u)
+        if u.is_zero:
+            raise TrivialPolynomialError("Sturm chain of the zero polynomial is undefined")
+        self._ints = _int_chain(_to_int_poly(u))
         self._polys: tuple[UnivariatePolynomial, ...] | None = None
 
     @property
@@ -244,7 +249,7 @@ class SturmChain:
         return self._polys
 
     def variations_at(self, x: Fraction | int) -> int:
-        return _variations_at(self._ints, Fraction(x))
+        return _variations_at(self._ints, Fraction(x).as_integer_ratio())
 
     def __len__(self) -> int:
         return len(self._ints)
@@ -262,6 +267,33 @@ def _check_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def count_int_roots(c: IntPoly, lo: Ratio, hi: Ratio) -> int | None:
+    """Number of distinct real roots of c in the closed interval [lo, hi].
+
+    `c` lists integer coefficients by power and may end in zeros; `lo` and
+    `hi` are (numerator, denominator) pairs with positive denominators and
+    lo < hi.  Returns None when c is identically zero.
+    """
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    if n <= 1:
+        return None if n == 0 else 0
+    if n == 2:
+        # c1*t + c0 is monotone: one root in [lo, hi] iff its signs at the
+        # endpoints (scaled by the positive denominators) are not both
+        # positive or both negative.
+        c0, c1 = c[0], c[1]
+        at_lo = c1 * lo[0] + c0 * lo[1]
+        at_hi = c1 * hi[0] + c0 * hi[1]
+        return 0 if (at_lo > 0 and at_hi > 0) or (at_lo < 0 and at_hi < 0) else 1
+    chain = _int_chain(c[:n])
+    count = _variations_at(chain, lo) - _variations_at(chain, hi)
+    if _sign_at(chain[0], lo) == 0:
+        count += 1
+    return count
+
+
 def count_real_roots(u: UnivariatePolynomial, lo, hi) -> RootCount:
     """Number of distinct real roots of u in the closed interval [lo, hi].
 
@@ -269,13 +301,8 @@ def count_real_roots(u: UnivariatePolynomial, lo, hi) -> RootCount:
     variation difference on (lo, hi] plus an exact check of u(lo) = 0.
     """
     lo, hi = _check_interval(lo, hi)
-    if u.is_zero:
-        return IDENTICALLY_ZERO
-    chain = _int_chain(u)
-    count = _variations_at(chain, lo) - _variations_at(chain, hi)
-    if _sign_at(chain[0], lo) == 0:
-        count += 1
-    return RootCount.finite(count)
+    count = count_int_roots(_to_int_poly(u), lo.as_integer_ratio(), hi.as_integer_ratio())
+    return IDENTICALLY_ZERO if count is None else RootCount.finite(count)
 
 
 def _offroot_split(p0: IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
@@ -283,7 +310,7 @@ def _offroot_split(p0: IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
     q = 2
     while True:
         m = lo + (hi - lo) / q
-        if _sign_at(p0, m) != 0:
+        if _sign_at(p0, m.as_integer_ratio()) != 0:
             return m
         q += 1
 
@@ -297,24 +324,31 @@ def isolate_roots(u: UnivariatePolynomial, lo, hi) -> list[RootInterval]:
     lo, hi = _check_interval(lo, hi)
     if u.is_zero:
         raise TrivialPolynomialError("cannot isolate roots of the zero polynomial")
-    chain = _int_chain(u)
+    chain = _int_chain(_to_int_poly(u))
     p0 = chain[0]
+
+    def sign(x: Fraction) -> int:
+        return _sign_at(p0, x.as_integer_ratio())
+
+    def variations(x: Fraction) -> int:
+        return _variations_at(chain, x.as_integer_ratio())
+
     out: list[RootInterval] = []
-    if _sign_at(p0, lo) == 0:
+    if sign(lo) == 0:
         out.append(RootInterval(lo, lo, lo))
 
     def emit_single(a: Fraction, b: Fraction, va: int) -> None:
         # Exactly one root in (a, b]; shrink until both endpoints are non-roots
         # or the root is hit exactly.
         while True:
-            if _sign_at(p0, b) == 0:
+            if sign(b) == 0:
                 out.append(RootInterval(b, b, b))
                 return
-            if _sign_at(p0, a) != 0:
+            if sign(a) != 0:
                 out.append(RootInterval(a, b))
                 return
             m = _offroot_split(p0, a, b)
-            vm = _variations_at(chain, m)
+            vm = variations(m)
             if va - vm == 1:
                 b = m
             else:
@@ -328,11 +362,11 @@ def isolate_roots(u: UnivariatePolynomial, lo, hi) -> list[RootInterval]:
             emit_single(a, b, va)
             return
         m = _offroot_split(p0, a, b)
-        vm = _variations_at(chain, m)
+        vm = variations(m)
         walk(a, m, va, vm)
         walk(m, b, vm, vb)
 
-    walk(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))
+    walk(lo, hi, variations(lo), variations(hi))
 
     # Separate neighbors that share an endpoint (the shared point is never a
     # root, so a few bisections push the later interval strictly right).
@@ -340,8 +374,8 @@ def isolate_roots(u: UnivariatePolynomial, lo, hi) -> list[RootInterval]:
         prev, cur = out[i - 1], out[i]
         while prev.hi >= cur.lo and cur.exact is None:
             m = _offroot_split(p0, cur.lo, cur.hi)
-            vm = _variations_at(chain, m)
-            if _variations_at(chain, cur.lo) - vm == 1:
+            vm = variations(m)
+            if variations(cur.lo) - vm == 1:
                 cur = RootInterval(cur.lo, m)
             else:
                 cur = RootInterval(m, cur.hi)

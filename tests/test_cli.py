@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from zeroset import cli
 from zeroset.cli import main
 
 
@@ -43,6 +44,20 @@ class TestExitCodes:
         code, _, _ = run_cli(["bound", "--poly", "x1", "--dim", "1", "--box", "1,0"], capsys)
         assert code == 2
 
+    def test_zero_denominator_box_is_2(self, capsys):
+        code, _, err = run_cli(["bound", "--poly", "x1", "--dim", "1", "--box", "0,1/0"], capsys)
+        assert code == 2
+        assert json.loads(err)["error"]["kind"] == "parse_error"
+
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_nonpositive_resolution_is_2(self, capsys, resolution):
+        code, _, err = run_cli(
+            ["measure", "--poly", "x1*x2 - 1/4", "--dim", "2", "--resolution", resolution],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["kind"] == "parse_error"
+
     def test_trivial_polynomial_is_3(self, capsys):
         code, _, err = run_cli(["bound", "--poly", "0", "--dim", "2"], capsys)
         assert code == 3
@@ -61,6 +76,24 @@ class TestExitCodes:
             ["measure", "--poly", "x1*x2*x3*x4 - 1/2", "--dim", "4"], capsys
         )
         assert code == 2
+
+
+class TestWorkerCap:
+    def config(self, workers):
+        args = cli._build_parser().parse_args(
+            ["crofton", "--poly", "x1", "--dim", "1", "--workers", str(workers)]
+        )
+        return cli._build_config(args)
+
+    def test_clamped_to_affinity(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert self.config(1000).workers == 3
+        assert self.config(2).workers == 2
+        assert self.config(0).workers == 1
+
+    def test_single_cpu(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        assert self.config(8).workers == 1
 
 
 class TestReports:

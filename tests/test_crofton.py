@@ -15,7 +15,9 @@ from zeroset import (
     parse_polynomial,
     theorem_bound,
 )
+from zeroset.crofton import _count_range, _line_counts
 from zeroset.rng import mix64, unit_fraction
+from zeroset.sturm import count_real_roots
 
 from oracles import random_polynomial
 
@@ -255,3 +257,113 @@ class TestMonteCarlo:
         small = crofton_upper_estimate(p, UNIT_SQUARE, MonteCarloScheme(100, seed=1))
         large = crofton_upper_estimate(p, UNIT_SQUARE, MonteCarloScheme(10000, seed=1))
         assert large.total_error_halfwidth < small.total_error_halfwidth
+
+
+# Non-dyadic, non-unit boxes: base points and endpoints with odd denominators.
+ODD_BOX_2 = Box.parse("-1/3,5/7;1/2,9/4", 2)
+ODD_BOX_3 = Box.parse("-1/3,5/7;1/2,9/4;-2,-1/5", 3)
+
+
+def reference_base_points(box, k, scheme):
+    """Fraction base points of the axis-k lines, written from the scheme definitions."""
+    intervals = box.project(k).intervals
+    if isinstance(scheme, GridScheme):
+        n = scheme.points_per_axis
+        points = [()]
+        for a, b in intervals:  # row-major: the last base axis varies fastest
+            points = [
+                pt + (a + (2 * i + 1) * (b - a) / (2 * n),) for pt in points for i in range(n)
+            ]
+        return points
+    m = len(intervals)
+    stream = (k - 1) * scheme.samples
+    return [
+        tuple(
+            a + (b - a) * unit_fraction(scheme.seed, (stream + index) * m + j)
+            for j, (a, b) in enumerate(intervals)
+        )
+        for index in range(scheme.samples)
+    ]
+
+
+def grid_midpoint(box, axis, n, i):
+    a, b = box.interval(axis)
+    return a + (2 * i + 1) * (b - a) / (2 * n)
+
+
+class TestIntegerLinePath:
+    """The integer line loop against the Fraction reference, line by line."""
+
+    def assert_matches_reference(self, p, box, scheme):
+        for k in range(1, box.dimension + 1):
+            lo, hi = box.interval(k)
+            expected = [
+                count_real_roots(p.restrict_to_line(k, base), lo, hi).count
+                for base in reference_base_points(box, k, scheme)
+            ]
+            n_points = len(expected)
+            assert list(_line_counts(p, box, k, scheme, 0, n_points)) == expected
+            finite = [c for c in expected if c is not None]
+            totals = (sum(finite), n_points - len(finite))
+            assert _count_range((p, box, k, scheme, 0, n_points)) == totals
+            middle = n_points // 3
+            head = _count_range((p, box, k, scheme, 0, middle))
+            tail = _count_range((p, box, k, scheme, middle, n_points))
+            assert (head[0] + tail[0], head[1] + tail[1]) == totals
+
+    @pytest.mark.parametrize(
+        "box,schemes",
+        [
+            (ODD_BOX_2, (GridScheme(7), MonteCarloScheme(12, seed=3))),
+            (ODD_BOX_3, (GridScheme(3), MonteCarloScheme(6, seed=4))),
+            (Box.cube(0, 1, 2), (GridScheme(5), MonteCarloScheme(10, seed=5))),
+        ],
+    )
+    def test_random_sparse_polynomials(self, box, schemes):
+        rng = random.Random(box.dimension * 1009 + len(str(box)))
+        for _ in range(12):
+            p = random_polynomial(rng, box.dimension, 4)
+            for scheme in schemes:
+                self.assert_matches_reference(p, box, scheme)
+
+    def planted(self, n):
+        x1 = parse_polynomial("x1", 2)
+        x2 = parse_polynomial("x2", 2)
+        m1 = grid_midpoint(ODD_BOX_2, 1, n, 2)
+        m2 = grid_midpoint(ODD_BOX_2, 2, n, 1)
+        return {
+            # the axis-1 line x2 = m2 and the axis-2 line x1 = m1 lie in the zero set
+            "zero_lines": (x2 - m2) * (x1 - m1),
+            # roots exactly at both ends of the axis-1 interval, on every line
+            "endpoint_roots_1": (x1 + Fraction(1, 3)) * (x1 - Fraction(5, 7)) * (x2 * x2 + 1),
+            # ... and of the axis-2 interval
+            "endpoint_roots_2": (x2 - Fraction(1, 2)) * (x2 - Fraction(9, 4)) * (x1 + 2),
+            "double_root": (x1 - x2) ** 2,
+            # the top coefficient in x1 vanishes at x2 = m2, the one in x2 at x1 = m1
+            "vanishing_leading": (x2 - m2) * x1**2 + (x1 - m1) * x2**3 + x1 - Fraction(1, 4),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["zero_lines", "endpoint_roots_1", "endpoint_roots_2", "double_root", "vanishing_leading"],
+    )
+    @pytest.mark.parametrize("scheme", [GridScheme(5), MonteCarloScheme(20, seed=11)])
+    def test_planted_cases(self, name, scheme):
+        p = self.planted(5)[name]
+        self.assert_matches_reference(p, ODD_BOX_2, scheme)
+
+    def test_planted_grid_counts(self):
+        n = 5
+        planted = self.planted(n)
+        lines = lambda p, k: list(_line_counts(p, ODD_BOX_2, k, GridScheme(n), 0, n))
+        zeros = planted["zero_lines"]
+        assert lines(zeros, 1).count(None) == 1
+        assert lines(zeros, 2).count(None) == 1
+        assert lines(planted["endpoint_roots_1"], 1) == [2] * n
+        assert lines(planted["endpoint_roots_2"], 2) == [2] * n
+        # (x1 - x2)^2 on the line x2 = c has the one double root x1 = c
+        assert lines(planted["double_root"], 1) == [
+            1 if grid_midpoint(ODD_BOX_2, 2, n, i) <= Fraction(5, 7) else 0 for i in range(n)
+        ]
+        # the degree drops to 1 on the line x2 = m2: its one root x1 = 1/4 is inside
+        assert lines(planted["vanishing_leading"], 1)[1] == 1

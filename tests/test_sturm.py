@@ -12,6 +12,8 @@ from zeroset import (
     sturm_chain,
 )
 
+from zeroset.sturm import count_int_roots
+
 from oracles import bisection_root_count, planted_univariate
 
 
@@ -112,6 +114,30 @@ class TestCountRealRoots:
             u, roots = planted_univariate(rng)
             expected = sum(1 for r in roots if lo <= r <= hi)
             assert count_real_roots(u, lo, hi).count == expected
+
+
+class TestCountIntRoots:
+    def test_degrees_zero_and_one(self):
+        assert count_int_roots([], (0, 1), (1, 1)) is None
+        assert count_int_roots([0, 0, 0], (0, 1), (1, 1)) is None
+        assert count_int_roots([-5, 0], (0, 1), (1, 1)) == 0
+        # 3t - 1 at t = 1/3, given as the unreduced interval [2/6, 4/6] and [0, 3/9]
+        assert count_int_roots([-1, 3, 0], (2, 6), (4, 6)) == 1
+        assert count_int_roots([-1, 3], (0, 1), (3, 9)) == 1
+        assert count_int_roots([-1, 3], (1, 2), (1, 1)) == 0
+        assert count_int_roots([1, 3], (0, 1), (1, 1)) == 0
+
+    def test_matches_rational_counts(self):
+        # positive integer multiples of planted polynomials, padded with zeros
+        rng = random.Random(4049)
+        ratio = lambda x: (x.numerator * 3, x.denominator * 3)  # unreduced on purpose
+        for _ in range(300):
+            u, _ = planted_univariate(rng, max_degree=6)
+            lo = Fraction(rng.randint(-40, 40), rng.randint(1, 8))
+            hi = lo + Fraction(rng.randint(1, 60), rng.randint(1, 8))
+            scale = rng.randint(1, 10**6)
+            c = [int(v) * scale for v in u.coefficients] + [0] * rng.randint(0, 2)
+            assert count_int_roots(c, ratio(lo), ratio(hi)) == count_real_roots(u, lo, hi).count
 
 
 class TestIsolateRoots:
