@@ -34,10 +34,9 @@ from .crofton import (
 from .experiment import sharpness_experiment
 from .meshing import (
     MeasureEstimate,
+    check_resolution,
     marching_cubes_area,
-    marching_cubes_triangles,
     marching_squares_length,
-    marching_squares_segments,
     measure_d1,
     write_mesh_csv,
 )
@@ -155,6 +154,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     resolution = _default_resolution(dimension) if args.resolution is None else args.resolution
     if resolution < 1:
         raise ValueError("--resolution must be positive")
+    if dimension in (2, 3) and (
+        args.command in ("measure", "report", "sharpness") or args.dump_mesh
+    ):
+        check_resolution(resolution)  # before any estimate runs or any pool starts
     n_values = None
     if args.command == "sharpness":
         text = args.n_list
@@ -293,25 +296,26 @@ def _flatten_for_csv(results: dict) -> tuple[list[str], list[list]]:
 # ---------------------------------------------------------------------------
 
 
-def _measure_estimate(p: Polynomial, config: RunConfig) -> MeasureEstimate:
+def _measure_estimate(
+    p: Polynomial, config: RunConfig, keep_mesh: bool = False
+) -> MeasureEstimate:
     if config.dimension == 1:
         return measure_d1(p, config.box)
     if config.dimension == 2:
-        return marching_squares_length(p, config.box, config.resolution)
+        return marching_squares_length(p, config.box, config.resolution, keep_mesh=keep_mesh)
     if config.dimension == 3:
-        return marching_cubes_area(p, config.box, config.resolution)
+        return marching_cubes_area(p, config.box, config.resolution, keep_mesh=keep_mesh)
     raise ValueError("direct measure estimation is available only for d <= 3")
 
 
-def _dump_mesh(p: Polynomial, config: RunConfig) -> None:
-    if config.dimension == 2:
-        primitives = marching_squares_segments(p, config.box, config.resolution)
-    elif config.dimension == 3:
-        primitives = marching_cubes_triangles(p, config.box, config.resolution)
-    else:
+def _dump_mesh(p: Polynomial, config: RunConfig, estimate: MeasureEstimate | None) -> None:
+    """Write the mesh kept by `estimate`, or mesh now when the run measured nothing."""
+    if config.dimension not in (2, 3):
         raise ValueError("mesh dumps exist only for dimensions 2 and 3")
+    if estimate is None:
+        estimate = _measure_estimate(p, config, keep_mesh=True)
     with open(config.dump_mesh, "w") as stream:
-        write_mesh_csv(stream, primitives, config.dimension)
+        write_mesh_csv(stream, estimate.mesh, config.dimension)
 
 
 def _execute(config: RunConfig) -> dict:
@@ -342,11 +346,13 @@ def _execute(config: RunConfig) -> dict:
     if config.command in ("crofton", "report"):
         crofton = crofton_upper_estimate(p, config.box, config.scheme, workers=config.workers)
         results["crofton"] = _crofton_dict(crofton)
+    estimate = None
     if config.command in ("measure", "report"):
         if config.command == "measure" or config.dimension <= 3:
-            results["measure"] = _measure_dict(_measure_estimate(p, config))
+            estimate = _measure_estimate(p, config, keep_mesh=bool(config.dump_mesh))
+            results["measure"] = _measure_dict(estimate)
     if config.dump_mesh:
-        _dump_mesh(p, config)
+        _dump_mesh(p, config, estimate)
     return results
 
 

@@ -25,7 +25,8 @@ polynomial, which `count_int_roots` counts directly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -310,32 +311,62 @@ def _count_range(args) -> tuple[int, int]:
     return total, degenerate
 
 
-def _sum_counts(p, box, k, scheme, n_points, workers) -> tuple[int, int]:
-    if workers <= 1 or n_points < 4 * workers:
-        return _count_range((p, box, k, scheme, 0, n_points))
-    chunk = -(-n_points // (4 * workers))
+def _lines_per_axis(box: Box, scheme: Scheme) -> int:
+    """Axis lines one axis integral counts; the same for every axis."""
+    if isinstance(scheme, GridScheme):
+        return scheme.points_per_axis ** (box.dimension - 1)
+    return scheme.samples if box.dimension > 1 else 1
+
+
+@contextmanager
+def line_pool(box: Box, scheme: Scheme, workers: int):
+    """A process pool to share out axis lines, or None when they are counted inline.
+
+    Every axis has the same number of lines, so one pool can serve all axes
+    of a run (and every polynomial of the sharpness experiment).  A pool is
+    opened only when an axis has at least 4 lines per worker, and it is shut
+    down on leaving the block, whatever ends it.
+    """
+    if workers > 1 and _lines_per_axis(box, scheme) >= 4 * workers:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool
+    else:
+        yield None
+
+
+def _sum_counts(p, box, k, scheme, n_points, workers, pool: Executor | None) -> tuple[int, int]:
+    """Counts of lines 0..n_points-1, in `pool` (chunked) or inline when it is None."""
+    chunk = n_points if pool is None else -(-n_points // (4 * workers))
     jobs = [
         (p, box, k, scheme, start, min(start + chunk, n_points))
         for start in range(0, n_points, chunk)
     ]
     total = 0
     degenerate = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part, bad in pool.map(_count_range, jobs):
-            total += part
-            degenerate += bad
+    for part, bad in (map if pool is None else pool.map)(_count_range, jobs):
+        total += part
+        degenerate += bad
     return total, degenerate
+
+
+def _check_estimator_input(p: Polynomial, box: Box) -> None:
+    if p.is_trivial:
+        raise TrivialPolynomialError("the estimator requires a nontrivial polynomial")
+    if p.dimension != box.dimension:
+        raise ValueError("polynomial and box dimensions differ")
 
 
 def crofton_axis_integral(
     p: Polynomial, box: Box, k: int, scheme: Scheme, workers: int = 1
 ) -> AxisEstimate:
     """Estimate of the axis-k integral of per-line root counts over the base box."""
-    if p.is_trivial:
-        raise TrivialPolynomialError("the estimator requires a nontrivial polynomial")
-    if p.dimension != box.dimension:
-        raise ValueError("polynomial and box dimensions differ")
+    _check_estimator_input(p, box)
     p._check_axis(k)
+    with line_pool(box, scheme, workers) as pool:
+        return _axis_integral(p, box, k, scheme, workers, pool)
+
+
+def _axis_integral(p, box, k, scheme, workers, pool: Executor | None) -> AxisEstimate:
     d = box.dimension
 
     if d == 1:
@@ -352,10 +383,10 @@ def crofton_axis_integral(
         )
 
     projected = box.project(k)
+    n_points = _lines_per_axis(box, scheme)
+    total, degenerate = _sum_counts(p, box, k, scheme, n_points, workers, pool)
     if isinstance(scheme, GridScheme):
         n = scheme.points_per_axis
-        n_points = n ** projected.dimension
-        total, degenerate = _sum_counts(p, box, k, scheme, n_points, workers)
         cell_volume = projected.volume / n_points
         exact = total * cell_volume
         spacing = max((b - a) / n for a, b in projected.intervals)
@@ -367,8 +398,6 @@ def crofton_axis_integral(
             exact=exact,
         )
 
-    n_points = scheme.samples
-    total, degenerate = _sum_counts(p, box, k, scheme, n_points, workers)
     volume = projected.volume
     exact = volume * Fraction(total, n_points)
     # Hoeffding: the integrand is integer-valued in [0, deg_{x_k} p].
@@ -386,13 +415,23 @@ def crofton_axis_integral(
 
 
 def crofton_upper_estimate(
-    p: Polynomial, box: Box, scheme: Scheme, workers: int = 1
+    p: Polynomial,
+    box: Box,
+    scheme: Scheme,
+    workers: int = 1,
+    pool: Executor | None = None,
 ) -> CroftonResult:
-    """Sum over axes of the per-line count integrals, plus the cube bound when it applies."""
-    per_axis = tuple(
-        crofton_axis_integral(p, box, k, scheme, workers=workers)
-        for k in range(1, box.dimension + 1)
-    )
+    """Sum over axes of the per-line count integrals, plus the cube bound when it applies.
+
+    `pool` is an open `line_pool(box, scheme, workers)` to count in; without
+    one, the call opens its own for all axes when the lines call for it.
+    """
+    _check_estimator_input(p, box)
+    opened = line_pool(box, scheme, workers) if pool is None else nullcontext(pool)
+    with opened as pool:
+        per_axis = tuple(
+            _axis_integral(p, box, k, scheme, workers, pool) for k in range(1, box.dimension + 1)
+        )
     total_exact = sum((e.exact for e in per_axis), Fraction(0))
     bound = theorem_bound(p, box) if box.is_cube else None
     return CroftonResult(

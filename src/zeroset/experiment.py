@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .crofton import Box, Scheme, crofton_upper_estimate, theorem_bound
-from .meshing import marching_cubes_area, marching_squares_length
+from .crofton import Box, Scheme, crofton_upper_estimate, line_pool, theorem_bound
+from .meshing import check_resolution, marching_cubes_area, marching_squares_length
 from .polynomial import Polynomial
 
 
@@ -56,28 +56,32 @@ def sharpness_experiment(
         raise ValueError("all n must be positive")
     if list(n_values) != sorted(set(n_values)):
         raise ValueError("n_values must be strictly increasing")
+    if dimension <= 3:
+        check_resolution(resolution)
 
     cube = Box.cube(0, 1, dimension)
     rows = []
-    for n in n_values:
-        p = sharpness_polynomial(dimension, n)
-        bound = theorem_bound(p, cube)  # equals dimension exactly
-        crofton = crofton_upper_estimate(p, cube, scheme, workers=workers)
-        if dimension == 2:
-            direct = marching_squares_length(p, cube, resolution).value
-        elif dimension == 3:
-            direct = marching_cubes_area(p, cube, resolution).value
-        else:
-            direct = None
-        estimates = [crofton.total] + ([direct] if direct is not None else [])
-        rows.append(
-            ExperimentRow(
-                n=n,
-                dimension=dimension,
-                crofton_total=crofton.total,
-                direct_measure=direct,
-                theorem_bound=float(bound),
-                gap=float(bound) - max(estimates),
+    # One pool for every n: each polynomial has the same lines per axis.
+    with line_pool(cube, scheme, workers) as pool:
+        for n in n_values:
+            p = sharpness_polynomial(dimension, n)
+            bound = theorem_bound(p, cube)  # equals dimension exactly
+            crofton = crofton_upper_estimate(p, cube, scheme, workers=workers, pool=pool)
+            if dimension == 2:
+                direct = marching_squares_length(p, cube, resolution).value
+            elif dimension == 3:
+                direct = marching_cubes_area(p, cube, resolution).value
+            else:
+                direct = None
+            estimates = [crofton.total] + ([direct] if direct is not None else [])
+            rows.append(
+                ExperimentRow(
+                    n=n,
+                    dimension=dimension,
+                    crofton_total=crofton.total,
+                    direct_measure=direct,
+                    theorem_bound=float(bound),
+                    gap=float(bound) - max(estimates),
+                )
             )
-        )
     return rows

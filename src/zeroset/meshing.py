@@ -7,6 +7,10 @@ An exact zero at a grid vertex counts as positive, so the sign predicate is
 simply ``value < 0``.  Crossings are placed by linear interpolation along
 sign-change edges; the resolution is the accuracy knob.
 
+Marching squares computes case codes only for the cells whose corners change
+sign; marching cubes builds its case grid once and then works only on those
+cells.  Past the vertex grid, both cost in proportion to the crossed cells.
+
 Determinism: segment lengths and triangle areas are derived from local cell
 coordinates and reduced with math.fsum (exactly rounded, order-independent),
 so repeated runs and symmetric inputs reproduce bit-identical totals.
@@ -19,7 +23,7 @@ centers sample negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, TextIO
 
@@ -41,6 +45,8 @@ class MeasureEstimate:
     method: str
     resolution: int
     cells_with_sign_change: int
+    # The extracted segments (d=2) or triangles (d=3), when the call kept them.
+    mesh: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _check_input(p: Polynomial, box: Box, dimension: int, resolution: int) -> None:
@@ -50,6 +56,11 @@ def _check_input(p: Polynomial, box: Box, dimension: int, resolution: int) -> No
         raise ValueError("polynomial and box dimensions differ")
     if box.dimension != dimension:
         raise ValueError(f"expected a {dimension}-dimensional box, got {box.dimension}")
+    check_resolution(resolution)
+
+
+def check_resolution(resolution: int) -> None:
+    """Meshes need at least 2 cells per axis."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2 cells per axis")
 
@@ -166,18 +177,21 @@ def _march_squares(p: Polynomial, box: Box, n: int, want_segments: bool):
     (ax, bx), (ay, by) = box.intervals
     hx, hy = float((bx - ax) / n), float((by - ay) / n)
     neg = values < 0.0
-    case = (
-        neg[:-1, :-1].astype(np.uint8)
-        | (neg[1:, :-1].astype(np.uint8) << 1)
-        | (neg[1:, 1:].astype(np.uint8) << 2)
-        | (neg[:-1, 1:].astype(np.uint8) << 3)
-    )
-    crossed = int(np.count_nonzero((case != 0) & (case != 15)))
+    # Only cells whose corners disagree in sign get a case code.  Their flat
+    # indices come in row-major order, so each case's cells keep the order
+    # of a scan over the whole grid.
+    c0 = neg[:-1, :-1]
+    mixed = (c0 != neg[1:, :-1]) | (c0 != neg[1:, 1:]) | (c0 != neg[:-1, 1:])
+    ci, cj = np.divmod(np.flatnonzero(mixed), n)
+    crossed = len(ci)
+    corners = (values[ci, cj], values[ci + 1, cj], values[ci + 1, cj + 1], values[ci, cj + 1])
+    cases = sum((v < 0.0).astype(np.uint8) << bit for bit, v in enumerate(corners))
 
     lengths: list[np.ndarray] = []
     segments: list[np.ndarray] = []
 
-    def emit(ci, cj, v0, v1, v2, v3, pairs):
+    def emit(sel, pairs):
+        v0, v1, v2, v3 = (v[sel] for v in corners)
         for ea, eb in pairs:
             ua, va = _edge_point_2d(ea, v0, v1, v2, v3)
             ub, vb = _edge_point_2d(eb, v0, v1, v2, v3)
@@ -185,34 +199,23 @@ def _march_squares(p: Polynomial, box: Box, n: int, want_segments: bool):
             dy = (vb - va) * hy
             lengths.append(np.sqrt(dx * dx + dy * dy))
             if want_segments:
-                x0, y0 = nodes[0][ci], nodes[1][cj]
+                x0, y0 = nodes[0][ci[sel]], nodes[1][cj[sel]]
                 segments.append(
                     np.column_stack([x0 + ua * hx, y0 + va * hy, x0 + ub * hx, y0 + vb * hy])
                 )
 
-    for c in range(1, 15):
-        mask = case == c
-        if not mask.any():
-            continue
-        ci, cj = np.nonzero(mask)
-        v0 = values[ci, cj]
-        v1 = values[ci + 1, cj]
-        v2 = values[ci + 1, cj + 1]
-        v3 = values[ci, cj + 1]
+    for c in np.unique(cases).tolist():
+        sel = np.nonzero(cases == c)[0]
         if c in (5, 10):
             centers = _eval_points(
-                p, (nodes[0][ci] + 0.5 * hx, nodes[1][cj] + 0.5 * hy)
+                p, (nodes[0][ci[sel]] + 0.5 * hx, nodes[1][cj[sel]] + 0.5 * hy)
             )
             for center_negative in (True, False):
                 sub = centers < 0.0 if center_negative else ~(centers < 0.0)
-                if not sub.any():
-                    continue
-                emit(
-                    ci[sub], cj[sub], v0[sub], v1[sub], v2[sub], v3[sub],
-                    _SEGMENTS_2D_AMBIGUOUS[(c, center_negative)],
-                )
+                if sub.any():
+                    emit(sel[sub], _SEGMENTS_2D_AMBIGUOUS[(c, center_negative)])
         else:
-            emit(ci, cj, v0, v1, v2, v3, _SEGMENTS_2D[c])
+            emit(sel, _SEGMENTS_2D[c])
 
     total = math.fsum(np.concatenate(lengths)) if lengths else 0.0
     seg_array = (
@@ -221,23 +224,27 @@ def _march_squares(p: Polynomial, box: Box, n: int, want_segments: bool):
     return total, crossed, seg_array
 
 
-def marching_squares_length(p: Polynomial, box: Box, resolution: int) -> MeasureEstimate:
-    """Total polyline length of the zero level set on an N-by-N cell grid."""
+def marching_squares_length(
+    p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False
+) -> MeasureEstimate:
+    """Total polyline length of the zero level set on an N-by-N cell grid.
+
+    With `keep_mesh`, the segments of the same pass come back as `mesh`.
+    """
     _check_input(p, box, 2, resolution)
-    total, crossed, _ = _march_squares(p, box, resolution, want_segments=False)
+    total, crossed, segments = _march_squares(p, box, resolution, want_segments=keep_mesh)
     return MeasureEstimate(
         value=total,
         method=MARCHING_SQUARES,
         resolution=resolution,
         cells_with_sign_change=crossed,
+        mesh=segments,
     )
 
 
 def marching_squares_segments(p: Polynomial, box: Box, resolution: int) -> np.ndarray:
     """Extracted segments as rows (x1, y1, x2, y2) in global coordinates."""
-    _check_input(p, box, 2, resolution)
-    _, _, segments = _march_squares(p, box, resolution, want_segments=True)
-    return segments
+    return marching_squares_length(p, box, resolution, keep_mesh=True).mesh
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +350,27 @@ def _march_cubes(p: Polynomial, box: Box, n: int, want_triangles: bool):
     return total, crossed, tri_array
 
 
-def marching_cubes_area(p: Polynomial, box: Box, resolution: int) -> MeasureEstimate:
-    """Summed triangle area of the isosurface on an N**3 cell grid."""
+def marching_cubes_area(
+    p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False
+) -> MeasureEstimate:
+    """Summed triangle area of the isosurface on an N**3 cell grid.
+
+    With `keep_mesh`, the triangles of the same pass come back as `mesh`.
+    """
     _check_input(p, box, 3, resolution)
-    total, crossed, _ = _march_cubes(p, box, resolution, want_triangles=False)
+    total, crossed, triangles = _march_cubes(p, box, resolution, want_triangles=keep_mesh)
     return MeasureEstimate(
         value=total,
         method=MARCHING_CUBES,
         resolution=resolution,
         cells_with_sign_change=crossed,
+        mesh=triangles,
     )
 
 
 def marching_cubes_triangles(p: Polynomial, box: Box, resolution: int) -> np.ndarray:
     """Extracted triangles as rows (x1, y1, z1, x2, y2, z2, x3, y3, z3)."""
-    _check_input(p, box, 3, resolution)
-    _, _, triangles = _march_cubes(p, box, resolution, want_triangles=True)
-    return triangles
+    return marching_cubes_area(p, box, resolution, keep_mesh=True).mesh
 
 
 def write_mesh_csv(stream: TextIO, primitives: np.ndarray, dimension: int) -> None:

@@ -1,8 +1,17 @@
+import io
 import json
 
 import pytest
 
-from zeroset import cli
+from zeroset import (
+    cli,
+    crofton,
+    marching_cubes_triangles,
+    marching_squares_segments,
+    meshing,
+    parse_polynomial,
+    write_mesh_csv,
+)
 from zeroset.cli import main
 
 
@@ -57,6 +66,48 @@ class TestExitCodes:
         )
         assert code == 2
         assert json.loads(err)["error"]["kind"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--poly", "x1*x2 - 1/4", "--dim", "2"],
+            ["measure", "--poly", "x1*x2*x3 - 1/8", "--dim", "3"],
+            ["report", "--poly", "x1*x2 - 1/4", "--dim", "2"],
+            ["report", "--poly", "x1*x2*x3 - 1/8", "--dim", "3"],
+            ["sharpness", "--dim", "2", "--n-list", "4"],
+            ["sharpness", "--dim", "3", "--n-list", "8"],
+            ["crofton", "--poly", "x1*x2 - 1/4", "--dim", "2", "--dump-mesh", "unused.csv"],
+        ],
+        ids=["measure-d2", "measure-d3", "report-d2", "report-d3", "sharpness-d2",
+             "sharpness-d3", "crofton-dump-mesh"],
+    )
+    def test_mesh_resolution_1_is_2_before_any_work(self, capsys, monkeypatch, fake_pool, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an estimate ran before the resolution was checked")
+
+        for name in ("crofton_upper_estimate", "sharpness_experiment", "marching_squares_length",
+                     "marching_cubes_area"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run_cli(
+            argv + ["--scheme", "grid:8", "--workers", "2", "--resolution", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "parse_error"
+        assert fake_pool["opened"] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--poly", "x1^2 - 1/4", "--dim", "1"],
+            ["report", "--poly", "x1^2 - 1/4", "--dim", "1"],
+            ["crofton", "--poly", "x1*x2 - 1/4", "--dim", "2", "--scheme", "grid:8"],
+        ],
+    )
+    def test_resolution_1_without_a_mesh_is_valid(self, capsys, argv):
+        code, out, _ = run_cli(argv + ["--resolution", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["resolution"] == 1
 
     def test_trivial_polynomial_is_3(self, capsys):
         code, _, err = run_cli(["bound", "--poly", "0", "--dim", "2"], capsys)
@@ -170,6 +221,73 @@ class TestDeterminism:
         blobs = [path.read_bytes() for path in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize(
+        "dim, scheme, resolution", [("2", "grid:16", "32"), ("3", "grid:4", "8")]
+    )
+    def test_sharpness_reports_byte_identical_across_workers(
+        self, capsys, monkeypatch, dim, scheme, resolution
+    ):
+        # Real worker processes; two CPUs are made available so that
+        # --workers 2 keeps its value on a 1-CPU machine too.
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        opened = []
+
+        class CountedPool(crofton.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(crofton, "ProcessPoolExecutor", CountedPool)
+        base = [
+            "sharpness", "--dim", dim, "--n-list", "4,16", "--scheme", scheme,
+            "--resolution", resolution,
+        ]
+        reports = []
+        for workers in ("1", "2"):
+            code, out, _ = run_cli(base + ["--workers", workers], capsys)
+            assert code == 0
+            reports.append(out)
+        assert opened == [2]
+        assert reports[0] == reports[1]
+
+
+class TestPoolLifetime:
+    def test_sharpness_opens_one_pool_for_every_n(self, capsys, fake_pool):
+        code, _, _ = run_cli(
+            [
+                "sharpness", "--dim", "2", "--n-list", "4,16,64", "--scheme", "grid:64",
+                "--resolution", "16", "--workers", "2",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert fake_pool["opened"] == fake_pool["shut"] == 1
+        assert fake_pool["tasks"] == 3 * 2 * 8  # n values x axes x 4 chunks per worker
+
+    @pytest.mark.parametrize("workers, scheme", [("1", "grid:64"), ("2", "grid:2")])
+    def test_no_pool_when_lines_are_counted_inline(self, capsys, fake_pool, workers, scheme):
+        code, _, _ = run_cli(
+            [
+                "sharpness", "--dim", "2", "--n-list", "4,16,64", "--scheme", scheme,
+                "--resolution", "16", "--workers", workers,
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert fake_pool["opened"] == 0
+
+    def test_d3_report_opens_one_pool_for_three_axes(self, capsys, fake_pool):
+        code, _, _ = run_cli(
+            [
+                "report", "--poly", "x1*x2*x3 - 1/8", "--dim", "3", "--scheme", "grid:4",
+                "--resolution", "8", "--workers", "2",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert fake_pool["opened"] == fake_pool["shut"] == 1
+        assert fake_pool["tasks"] == 3 * 8
+
 
 class TestSharpnessCommand:
     def test_csv_gap_nonincreasing(self, capsys):
@@ -216,3 +334,46 @@ class TestMeshDump:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "x1,y1,x2,y2"
         assert len(lines) == 9  # 8 cells crossed, one segment each
+
+    @pytest.mark.parametrize(
+        "argv, march, write",
+        [
+            (
+                ["measure", "--poly", "x1^2 + x2^2 - 1/4", "--dim", "2", "--box=-1,1",
+                 "--resolution", "64"],
+                "_march_squares", marching_squares_segments,
+            ),
+            (
+                ["report", "--poly", "x1^2 + x2^2 + x3^2 - 1/4", "--dim", "3", "--box=-1,1",
+                 "--scheme", "grid:4", "--resolution", "12"],
+                "_march_cubes", marching_cubes_triangles,
+            ),
+            (
+                ["crofton", "--poly", "x1*x2 - 1/4", "--dim", "2", "--scheme", "grid:4",
+                 "--resolution", "16"],
+                "_march_squares", marching_squares_segments,
+            ),
+        ],
+        ids=["measure-d2", "report-d3", "crofton-d2"],
+    )
+    def test_meshes_once(self, capsys, monkeypatch, tmp_path, argv, march, write):
+        calls = []
+        original = getattr(meshing, march)
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(meshing, march, counted)
+        path = tmp_path / "mesh.csv"
+        code, out, _ = run_cli(argv + ["--dump-mesh", str(path)], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # The report and the dump are those of separate, undumped runs.
+        assert run_cli(argv, capsys)[1] == out
+        config = cli._build_config(cli._build_parser().parse_args(argv))
+        p = parse_polynomial(config.polynomial, config.dimension)
+        expected = io.StringIO()
+        write_mesh_csv(expected, write(p, config.box, config.resolution), config.dimension)
+        assert path.read_text() == expected.getvalue()

@@ -15,7 +15,8 @@ from zeroset import (
     parse_polynomial,
     theorem_bound,
 )
-from zeroset.crofton import _count_range, _line_counts
+from zeroset import crofton
+from zeroset.crofton import _count_range, _line_counts, line_pool
 from zeroset.rng import mix64, unit_fraction
 from zeroset.sturm import count_real_roots
 
@@ -225,6 +226,68 @@ class TestUpperEstimate:
             assert result.total_exact <= result.theorem_bound
             for e in result.per_axis:
                 assert e.estimate <= p.degree_in(e.axis) * 1 + e.error_halfwidth
+
+
+class TestLinePool:
+    """Pool lifetimes, with the process pool replaced by an in-process stand-in."""
+
+    def test_upper_estimate_opens_one_pool_for_all_axes(self, fake_pool):
+        p = parse_polynomial("x1*x2*x3 - 1/8", 3)
+        inline = crofton_upper_estimate(p, Box.cube(0, 1, 3), GridScheme(4))
+        pooled = crofton_upper_estimate(p, Box.cube(0, 1, 3), GridScheme(4), workers=2)
+        assert fake_pool["opened"] == fake_pool["shut"] == 1
+        assert fake_pool["tasks"] == 3 * 8
+        assert pooled == inline
+
+    def test_axis_integral_opens_its_own_pool(self, fake_pool):
+        p = parse_polynomial("x1*x2 - 1/4", 2)
+        inline = crofton_axis_integral(p, UNIT_SQUARE, 2, GridScheme(16))
+        assert crofton_axis_integral(p, UNIT_SQUARE, 2, GridScheme(16), workers=2) == inline
+        assert fake_pool["opened"] == fake_pool["shut"] == 1
+
+    def test_given_pool_serves_every_call(self, fake_pool):
+        scheme = MonteCarloScheme(64, seed=5)
+        with line_pool(UNIT_SQUARE, scheme, 2) as pool:
+            for n in (4, 16, 64):
+                p = Polynomial(2, {(1, 1): 1, (0, 0): Fraction(-1, n)})
+                crofton_upper_estimate(p, UNIT_SQUARE, scheme, workers=2, pool=pool)
+        assert fake_pool["opened"] == fake_pool["shut"] == 1
+        assert fake_pool["tasks"] == 3 * 2 * 8
+
+    @pytest.mark.parametrize(
+        "box, scheme, workers",
+        [
+            (UNIT_SQUARE, GridScheme(7), 2),  # 7 lines per axis < 4 per worker
+            (UNIT_SQUARE, GridScheme(64), 1),
+            (Box.cube(0, 1, 1), MonteCarloScheme(1000), 2),  # d=1 has a single line
+        ],
+    )
+    def test_no_pool_for_few_lines(self, fake_pool, box, scheme, workers):
+        with line_pool(box, scheme, workers) as pool:
+            assert pool is None
+        p = parse_polynomial("x1 - 1/3", box.dimension)
+        crofton_upper_estimate(p, box, scheme, workers=workers)
+        assert fake_pool["opened"] == 0
+
+    def test_invalid_input_opens_no_pool(self, fake_pool):
+        with pytest.raises(TrivialPolynomialError):
+            crofton_upper_estimate(Polynomial.zero(2), UNIT_SQUARE, GridScheme(64), workers=2)
+        with pytest.raises(ValueError):
+            crofton_upper_estimate(
+                parse_polynomial("x1", 3), UNIT_SQUARE, GridScheme(64), workers=2
+            )
+        assert fake_pool["opened"] == 0
+
+    def test_pool_shut_down_when_a_task_fails(self, fake_pool, monkeypatch):
+        def broken(args):
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(crofton, "_count_range", broken)
+        with pytest.raises(RuntimeError):
+            crofton_upper_estimate(
+                parse_polynomial("x1 - 1/3", 2), UNIT_SQUARE, GridScheme(64), workers=2
+            )
+        assert fake_pool["opened"] == fake_pool["shut"] == 1
 
 
 class TestMonteCarlo:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import random
@@ -23,10 +24,19 @@ from zeroset import (
     write_mesh_csv,
 )
 
-from oracles import arc_length_oracle, random_polynomial, scale_vars, shift, swap_axes
+from oracles import (
+    arc_length_oracle,
+    naive_evaluate,
+    random_polynomial,
+    scale_vars,
+    shift,
+    swap_axes,
+)
 
 UNIT_SQUARE = Box.cube(0, 1, 2)
 UNIT_CUBE = Box.cube(0, 1, 3)
+# Four saddles, each inside one cell of the 6x6 grid on [-1,1]^2.
+_SADDLES = "x1^2*x2^2 - 1/5*x1^2 - 1/3*x2^2 + 1/15 + 1/100*x1"
 
 
 class TestMeasureD1:
@@ -97,6 +107,81 @@ class TestMarchingSquares:
             marching_squares_length(p, Box.cube(0, 1, 3), 8)
         with pytest.raises(TrivialPolynomialError):
             marching_squares_length(Polynomial.zero(2), UNIT_SQUARE, 8)
+
+
+# Marching-squares outputs recorded before the classifier was restricted to
+# sign-change cells: float.hex of the total, cells with a sign change, and
+# the SHA-256 of the segment array's bytes.  Every polynomial has exponents
+# of at most 2, so vertex values use only IEEE-exact products and sums.
+_SQUARES_GOLDEN = [
+    (
+        "sharpness n=4", "x1*x2 - 1/4", "0,1", 2048,
+        "0x1.21d0acdff3703p+0", 3073,
+        "c11c13fb65b67c89a169b2576cf3a4cc1febf5777db28699dcb5088dc0e703ad",
+    ),
+    (
+        "sharpness n=1024", "x1*x2 - 1/1024", "0,1", 2048,
+        "0x1.f271c7f929be7p+0", 4093,
+        "6336f4349745ae27f932491521b5238a44adec4c16eeb75a5d725de587bb9e82",
+    ),
+    (
+        "circle", "x1^2 + x2^2 - 1/4", "-1,1", 512,
+        "0x1.921ef2b466bf7p+1", 1020,
+        "2da1ade5dfeb869192b3f5ef7ed30b179ab3eb319cbe4713d1ea56724725a259",
+    ),
+    (
+        "near-diagonal", "x1^2 - 2*x1*x2 + x2^2 - 1/10000", "0,1", 256,
+        "0x1.667cec1b25236p+1", 1014,
+        "8f768d7a5bd1a9fca0ccddcf43fb1b078b02d4c1e227342f2f3c73265e86d9c8",
+    ),
+    (
+        "ambiguous saddles", _SADDLES, "-1,1", 6,
+        "0x1.b58d89c166883p+2", 20,
+        "14cd8416415dbb25a1d421b2d31f71c3b3ccdfbe1a61c8c89a365e6b66f40352",
+    ),
+    (
+        "odd N, non-square box", "x1^2 + 4*x2^2 - 1", "-3/2,1;-2/3,3/4", 257,
+        "0x1.3606b8499d056p+2", 772,
+        "56cbe82f6fe376a94709ebe2993061024a56c9667287e399616302c5eec9eab1",
+    ),
+]
+
+
+class TestMarchingSquaresGolden:
+    @pytest.mark.parametrize(
+        "text, box, n, total_hex, crossed, digest",
+        [case[1:] for case in _SQUARES_GOLDEN],
+        ids=[case[0] for case in _SQUARES_GOLDEN],
+    )
+    def test_bit_identical(self, text, box, n, total_hex, crossed, digest):
+        p = parse_polynomial(text, 2)
+        box = Box.parse(box, 2)
+        estimate = marching_squares_length(p, box, n)
+        assert estimate.value.hex() == total_hex
+        assert estimate.cells_with_sign_change == crossed
+        segments = marching_squares_segments(p, box, n)
+        assert hashlib.sha256(segments.tobytes()).hexdigest() == digest
+
+    def test_saddles_cover_both_ambiguous_cases_and_center_signs(self):
+        # Exact signs at the rational vertices and cell centers, so the golden
+        # case above really exercises cases 5 and 10 with either center sign.
+        p = parse_polynomial(_SADDLES, 2)
+        n = 6
+        node = [Fraction(-1) + Fraction(2 * i, n) for i in range(n + 1)]
+        half = Fraction(1, n)
+        seen = set()
+        for i in range(n):
+            for j in range(n):
+                corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+                case = sum(
+                    1 << bit
+                    for bit, (a, b) in enumerate(corners)
+                    if naive_evaluate(p, (node[a], node[b])) < 0
+                )
+                if case in (5, 10):
+                    center = naive_evaluate(p, (node[i] + half, node[j] + half))
+                    seen.add((case, center < 0))
+        assert seen == {(5, True), (5, False), (10, True), (10, False)}
 
 
 class TestMarchingCubes:
