@@ -1,18 +1,16 @@
 """Certified counting and isolation of distinct real roots on an interval.
 
-Root counts use Sturm chains with exact arithmetic.  The chain is built from
-the square-free part of the input, so multiple roots are counted once: the
-count is the cardinality of the root *set* inside the closed interval.
-
-Internally everything lives in Z[t].  `count_int_roots` takes an integer
-coefficient list and an interval with integer numerator/denominator
-endpoints; `count_real_roots` scales a rational polynomial to such a list
-and calls it.  Degrees 0 and 1 are decided without a chain.  From degree 2
-on, the remainder sequence is computed with pseudo-divisions, dividing out
-integer content at each step.  Every element is therefore a *positive*
-rational multiple of the classical chain element, which leaves all sign
-variations (and hence all counts) unchanged while avoiding fraction
-blow-up.
+Counts are exact and count each distinct root once, in the closed interval.
+Everything lives in Z[t]: `count_int_roots` takes an integer coefficient
+list and an interval with integer numerator/denominator endpoints, and
+`count_real_roots` scales a rational polynomial to such a list.  Degrees 0
+and 1 are decided by a sign test, degree 2 in closed form (discriminant,
+endpoint signs, endpoint sides of the vertex).  From degree 3 on, one Sturm
+remainder sequence is built with pseudo-divisions, dividing out integer
+content at each step, so every element is a *positive* rational multiple of
+the classical chain element: the same sign variations, no fraction
+blow-up.  The sequence ends in gcd(p, p'); only when that is not constant
+is the chain rebuilt on the square-free part p / gcd(p, p').
 """
 
 from __future__ import annotations
@@ -115,33 +113,6 @@ def _neg_rem_primitive(a: IntPoly, b: IntPoly) -> IntPoly:
     return [flip * (v // g) for v in r]
 
 
-def _rem_primitive_abs(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive |a mod b| up to sign, for gcd computations (sign irrelevant)."""
-    r = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    while r and len(r) - 1 >= db:
-        shift = len(r) - 1 - db
-        lead = r[-1]
-        r = [lb * v for v in r[:-1]]
-        for i in range(db):
-            r[shift + i] -= lead * b[i]
-        _strip(r)
-    return _primitive(r) if r else []
-
-
-def _gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[t] with positive leading coefficient."""
-    a, b = _primitive(a[:]), _primitive(b[:])
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _rem_primitive_abs(a, b)
-    if not a:
-        return [1]
-    return a if a[-1] > 0 else [-v for v in a]
-
-
 def _exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     """Exact quotient a / b in Q[t] with integer result (raises if inexact)."""
     r = a[:]
@@ -197,21 +168,26 @@ def _variations(signs: Sequence[int]) -> int:
 
 
 def _int_chain(c: IntPoly) -> list[IntPoly]:
-    """Sturm chain of the square-free part of c (nonzero, stripped), over Z."""
-    work = _primitive(c)
-    if len(work) == 1:
-        return [work]
-    g = _gcd_int(work, _derivative_int(work))
-    p0 = work if len(g) == 1 else _exact_div(work, g)
-    chain = [p0]
-    if len(p0) > 1:
-        chain.append(_primitive(_derivative_int(p0)))
+    """Sturm chain of the square-free part of c (nonzero, stripped), over Z.
+
+    One remainder sequence p, p', -rem, ... of the primitive part p is built.
+    It ends in gcd(p, p'): when that is constant, p is square-free and the
+    sequence is its chain; otherwise it is rebuilt once, on p / gcd(p, p').
+    """
+    p = _primitive(c)
+    if len(p) == 1:
+        return [p]
+    while True:
+        chain = [p, _primitive(_derivative_int(p))]
         while len(chain[-1]) > 1:
             nxt = _neg_rem_primitive(chain[-2], chain[-1])
-            if not nxt:  # cannot happen for a square-free p0; guards bad input
+            if not nxt:  # chain[-1] divides chain[-2]: it is gcd(p, p')
                 break
             chain.append(nxt)
-    return chain
+        g = chain[-1]
+        if len(g) == 1:
+            return chain
+        p = _exact_div(p, g if g[-1] > 0 else [-v for v in g])
 
 
 def _variations_at(chain: list[IntPoly], x: Ratio) -> int:
@@ -267,6 +243,27 @@ def _check_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _count_quadratic(c0: int, c1: int, c2: int, lo: Ratio, hi: Ratio) -> int:
+    """Distinct roots of c2*t^2 + c1*t + c0 (c2 != 0) in the closed [lo, hi]."""
+    if c2 < 0:
+        c0, c1, c2 = -c0, -c1, -c2
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return 0
+    (ln, ld), (hn, hd) = lo, hi
+    # Signs of x - vertex and of c(x), each scaled by a positive factor.
+    side_lo = 2 * c2 * ln + c1 * ld
+    side_hi = 2 * c2 * hn + c1 * hd
+    if disc == 0:
+        return 1 if side_lo <= 0 <= side_hi else 0
+    at_lo = (c2 * ln + c1 * ld) * ln + c0 * ld * ld
+    at_hi = (c2 * hn + c1 * hd) * hn + c0 * hd * hd
+    # Upward parabola, roots r1 < vertex < r2, c <= 0 exactly on [r1, r2].
+    left = at_lo >= 0 and side_lo < 0 and (side_hi >= 0 or at_hi <= 0)
+    right = at_hi >= 0 and side_hi > 0 and (side_lo <= 0 or at_lo <= 0)
+    return left + right
+
+
 def count_int_roots(c: IntPoly, lo: Ratio, hi: Ratio) -> int | None:
     """Number of distinct real roots of c in the closed interval [lo, hi].
 
@@ -287,11 +284,11 @@ def count_int_roots(c: IntPoly, lo: Ratio, hi: Ratio) -> int | None:
         at_lo = c1 * lo[0] + c0 * lo[1]
         at_hi = c1 * hi[0] + c0 * hi[1]
         return 0 if (at_lo > 0 and at_hi > 0) or (at_lo < 0 and at_hi < 0) else 1
+    if n == 3:
+        return _count_quadratic(c[0], c[1], c[2], lo, hi)
     chain = _int_chain(c[:n])
-    count = _variations_at(chain, lo) - _variations_at(chain, hi)
-    if _sign_at(chain[0], lo) == 0:
-        count += 1
-    return count
+    at_root = _sign_at(chain[0], lo) == 0
+    return _variations_at(chain, lo) - _variations_at(chain, hi) + at_root
 
 
 def count_real_roots(u: UnivariatePolynomial, lo, hi) -> RootCount:

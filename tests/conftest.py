@@ -1,6 +1,7 @@
 from concurrent.futures import Executor, Future
 
 import pytest
+from hypothesis import settings
 
 from zeroset import cli, crofton
 
@@ -34,3 +35,9 @@ def fake_pool(monkeypatch):
     monkeypatch.setattr(crofton, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return log
+
+
+# Property tests draw the same examples on every run and have no deadline,
+# so a run is reproducible and timing noise cannot fail it.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")

@@ -85,6 +85,23 @@ def planted_univariate(
     return UnivariatePolynomial(coeffs), [r for r, _ in chosen]
 
 
+def expand_factors(factors) -> list[int]:
+    """Integer coefficient list of the product of (factor, multiplicity) pairs.
+
+    Each factor is an integer coefficient list by power; the product is
+    expanded by direct convolution, independent of the library.
+    """
+    coeffs = [1]
+    for factor, multiplicity in factors:
+        for _ in range(multiplicity):
+            out = [0] * (len(coeffs) + len(factor) - 1)
+            for i, c in enumerate(coeffs):
+                for j, f in enumerate(factor):
+                    out[i + j] += c * f
+            coeffs = out
+    return coeffs
+
+
 def bisection_root_count(u: UnivariatePolynomial, lo, hi, depth: int = 60) -> int:
     """Sign-change bisection count for polynomials with simple real roots.
 

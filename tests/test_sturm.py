@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from zeroset import (
     IDENTICALLY_ZERO,
@@ -12,9 +14,15 @@ from zeroset import (
     sturm_chain,
 )
 
-from zeroset.sturm import count_int_roots
+from zeroset.sturm import _int_chain, _sign_at, _variations_at, count_int_roots
 
-from oracles import bisection_root_count, planted_univariate
+from oracles import bisection_root_count, expand_factors, planted_univariate
+
+
+def _ratio(x, k=1) -> tuple[int, int]:
+    """x as a (numerator, denominator) pair, unreduced by the factor k."""
+    x = Fraction(x)
+    return x.numerator * k, x.denominator * k
 
 
 class TestSturmChain:
@@ -138,6 +146,102 @@ class TestCountIntRoots:
             scale = rng.randint(1, 10**6)
             c = [int(v) * scale for v in u.coefficients] + [0] * rng.randint(0, 2)
             assert count_int_roots(c, ratio(lo), ratio(hi)) == count_real_roots(u, lo, hi).count
+
+    def test_quadratic_closed_form_matches_chain(self):
+        # Every a != 0, b, c in [-4, 4]; the endpoints are a fixed set plus the
+        # polynomial's own rational roots and vertex, given unreduced, with
+        # trailing zero padding on some lines.
+        fixed = {Fraction(v) for v in (-3, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, Fraction(5, 2))}
+        hits = {"root": 0, "double root": 0, "vertex": 0}
+        for a, b, c in itertools.product(range(-4, 5), repeat=3):
+            if a == 0:
+                continue
+            vertex = Fraction(-b, 2 * a)
+            roots = {
+                Fraction(n, d)
+                for n in range(-20, 21)
+                for d in range(1, 5)
+                if a * n * n + b * n * d + c * d * d == 0
+            }
+            points = sorted(fixed | roots | {vertex})
+            chain = _int_chain([c, b, a])
+            for (i, lo), (j, hi) in itertools.combinations(enumerate(points), 2):
+                lo_r, hi_r = _ratio(lo, 1 + (i + j) % 3), _ratio(hi, 1 + j % 2)
+                expected = _variations_at(chain, lo_r) - _variations_at(chain, hi_r)
+                expected += _sign_at(chain[0], lo_r) == 0
+                padded = [c, b, a] + [0] * ((i + j) % 2)
+                assert count_int_roots(padded, lo_r, hi_r) == expected, (a, b, c, lo, hi)
+                hits["root"] += lo in roots or hi in roots
+                hits["double root"] += b * b == 4 * a * c and vertex in (lo, hi)
+                hits["vertex"] += vertex in (lo, hi)
+        assert min(hits.values()) > 0, hits
+
+    @pytest.mark.parametrize(
+        "factors,roots,lo,hi",
+        [
+            # t^2 (2t^2 - 1): double root at lo, and 1/sqrt(2) inside
+            ([([0, 1], 2), ([-1, 0, 2], 1)], [0, -(2**-0.5), 2**-0.5], (0, 1), (1, 1)),
+            ([([0, 1], 3)], [0], (0, 1), (1, 1)),
+            # (t - 1)^2 (2t - 1): double root at hi
+            ([([-1, 1], 2), ([-1, 2], 1)], [1, Fraction(1, 2)], (0, 1), (1, 1)),
+            ([([-1, 1], 2), ([-1, 2], 1)], [1, Fraction(1, 2)], (1, 1), (2, 1)),
+            # (3t - 1)^2 (t + 5) on the unreduced [2/6, 9/6]
+            ([([-1, 3], 2), ([5, 1], 1)], [Fraction(1, 3), -5], (2, 6), (9, 6)),
+            # (t - 1)^2 (t + 1)^2: double roots at both endpoints
+            ([([-1, 1], 2), ([1, 1], 2)], [1, -1], (-3, 3), (2, 2)),
+            # t^2 (t - 1)^3 (t^2 + 1)
+            ([([0, 1], 2), ([-1, 1], 3), ([1, 0, 1], 1)], [0, 1], (0, 1), (1, 1)),
+            # degree-2 double roots on either endpoint
+            ([([-1, 2], 2)], [Fraction(1, 2)], (1, 2), (4, 4)),
+            ([([-1, 2], 2)], [Fraction(1, 2)], (0, 1), (2, 4)),
+        ],
+    )
+    def test_repeated_root_on_endpoint(self, factors, roots, lo, hi):
+        c = expand_factors(factors)
+        expected = sum(1 for r in roots if Fraction(*lo) <= r <= Fraction(*hi))
+        assert count_int_roots(c, lo, hi) == expected
+        assert count_int_roots(c + [0, 0], lo, hi) == expected
+        assert count_int_roots([-v for v in c], lo, hi) == expected
+
+
+# Polynomials with planted roots on a grid of sixths, so that roots often
+# land on the sampled interval ends and split points.
+_sixths = st.integers(-18, 18).map(lambda k: Fraction(k, 6))
+_planted = st.builds(
+    lambda roots, rest: expand_factors([([-n, d], 1) for n, d in roots] + [(rest, 1)]),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), max_size=4),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=3),
+)
+_polys = st.one_of(_planted, st.lists(st.integers(-20, 20), min_size=1, max_size=6))
+
+
+def _at(c, x: Fraction) -> Fraction:
+    return sum(v * x**i for i, v in enumerate(c))
+
+
+class TestCountIntRootsProperties:
+    @given(_polys, st.lists(_sixths, min_size=3, max_size=3, unique=True), st.integers(1, 3))
+    def test_additive_over_split(self, c, points, k):
+        assume(any(c))
+        lo, m, hi = sorted(points)
+        whole = count_int_roots(c, _ratio(lo, k), _ratio(hi))
+        left = count_int_roots(c, _ratio(lo), _ratio(m, k))
+        right = count_int_roots(c, _ratio(m), _ratio(hi, k))
+        assert whole == left + right - (_at(c, m) == 0)
+
+    @given(_polys, st.lists(_sixths, min_size=2, max_size=2, unique=True), st.integers(1, 10**6))
+    def test_positive_scaling(self, c, points, scale):
+        assume(any(c))
+        lo, hi = map(_ratio, sorted(points))
+        assert count_int_roots([scale * v for v in c], lo, hi) == count_int_roots(c, lo, hi)
+
+    @given(_polys, st.lists(_sixths, min_size=2, max_size=2, unique=True))
+    def test_reflection(self, c, points):
+        assume(any(c))
+        lo, hi = sorted(points)
+        mirrored = [v if i % 2 == 0 else -v for i, v in enumerate(c)]
+        reflected = count_int_roots(mirrored, _ratio(-hi), _ratio(-lo))
+        assert reflected == count_int_roots(c, _ratio(lo), _ratio(hi))
 
 
 class TestIsolateRoots:
