@@ -371,8 +371,7 @@ def _axis_integral(p, box, k, scheme, workers, pool: Executor | None) -> AxisEst
 
     if d == 1:
         # The base space is a point: the "integral" is the single line count.
-        lo, hi = box.interval(1)
-        outcome = count_real_roots(p.restrict_to_line(1, ()), lo, hi)
+        outcome = line_count(p, box, 1, ())
         exact = Fraction(outcome.count if not outcome.identically_zero else 0)
         return AxisEstimate(
             axis=k,

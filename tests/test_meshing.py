@@ -1,7 +1,9 @@
 import hashlib
 import io
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,9 @@ from zeroset import (
     marching_squares_length,
     marching_squares_segments,
     measure_d1,
+    meshing,
     parse_polynomial,
+    sharpness_polynomial,
     theorem_bound,
     write_mesh_csv,
 )
@@ -37,6 +41,9 @@ UNIT_SQUARE = Box.cube(0, 1, 2)
 UNIT_CUBE = Box.cube(0, 1, 3)
 # Four saddles, each inside one cell of the 6x6 grid on [-1,1]^2.
 _SADDLES = "x1^2*x2^2 - 1/5*x1^2 - 1/3*x2^2 + 1/15 + 1/100*x1"
+# A saddle on the x3 axis: at N=17 on [-1,1]^3 its column of cells has
+# ambiguous faces whose centers sample negative above x3 = 0, positive below.
+_FACE_SADDLES = "x1*x2 - 1/1000*x3"
 
 
 class TestMeasureD1:
@@ -208,6 +215,203 @@ class TestMarchingCubes:
         b = marching_cubes_area(p, Box.cube(-1, 1, 3), 17)
         assert a == b
         assert a.value > 0
+
+
+# Marching-cubes outputs recorded before the vertex values were evaluated one
+# slab of cell rows at a time: float.hex of the total, cells with a sign
+# change, and the SHA-256 of the triangle array's bytes.  The 128^3 meshes
+# and the N=97 mesh span several slabs; 97 is prime, so no slab height
+# divides it.
+_CUBES_GOLDEN = [
+    (
+        "sharpness n=8", "x1*x2*x3 - 1/8", "0,1", 128,
+        "0x1.32ab455f09216p+0", 30235,
+        "7fd11bdf6845e949f1ec608c5591990c4060c78ed1c9b95aaeead2842388d139",
+    ),
+    (
+        "sharpness n=512", "x1*x2*x3 - 1/512", "0,1", 128,
+        "0x1.5512d062d2986p+1", 48430,
+        "4bddd80a799c7d0f491d631d1d45e6f499e76b3e5e12e69c2911eff91bdbd3c6",
+    ),
+    (
+        "sphere", "x1^2 + x2^2 + x3^2 - 1/4", "-1,1", 64,
+        "0x1.917783df42b87p+1", 4760,
+        "8348facea6d95d0e95e8db3d3ab2e5f23e1fe0cce90be6aa984494a42352b448",
+    ),
+    (
+        "hyperboloid", "x1^2 + x2^2 - x3^2 - 1/8", "-1,1", 17,
+        "0x1.3f7d27f7c0de1p+3", 1120,
+        "768581f467ec57a5119d13a03675451e1775d2e39d495c94c5f6e041bf58c85d",
+    ),
+    (
+        "face votes", _FACE_SADDLES, "-1,1", 17,
+        "0x1.f437ceb5c14e4p+2", 561,
+        "27e3a71f010abc4ee3fa5902dde7f3af16c55f8253f6597f87227acc2f65b689",
+    ),
+    (
+        "odd N, non-cube box", "x1^3 - 2*x1*x2*x3 + x2^2 + 1/3*x3^4 - 1/5",
+        "-1,1;-1/2,3/4;-3/4,1", 97,
+        "0x1.7b0ed80311043p+2", 30872,
+        "39e98305a3eeaba350d9acacc0fa518e7965d04e7a6371d802329cf9445838f0",
+    ),
+]
+
+
+class TestMarchingCubesGolden:
+    @pytest.mark.parametrize(
+        "text, box, n, total_hex, crossed, digest",
+        [case[1:] for case in _CUBES_GOLDEN],
+        ids=[case[0] for case in _CUBES_GOLDEN],
+    )
+    def test_bit_identical(self, text, box, n, total_hex, crossed, digest):
+        p = parse_polynomial(text, 3)
+        box = Box.parse(box, 3)
+        estimate = marching_cubes_area(p, box, n)
+        assert estimate.value.hex() == total_hex
+        assert estimate.cells_with_sign_change == crossed
+        triangles = marching_cubes_triangles(p, box, n)
+        assert hashlib.sha256(triangles.tobytes()).hexdigest() == digest
+
+    def test_face_votes_go_both_ways(self):
+        # Exact signs at the rational vertices and face centers, so the golden
+        # case above really has cells whose ambiguous faces vote to flip the
+        # triangulation and cells whose faces vote to keep it.
+        p = parse_polynomial(_FACE_SADDLES, 3)
+        n = 17
+        node = [Fraction(-1) + Fraction(2 * i, n) for i in range(n + 1)]
+        half = Fraction(1, n)
+        corners = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+                   (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+        faces = [((0, 1, 2, 3), (1, 1, 0)), ((4, 5, 6, 7), (1, 1, 2)),
+                 ((0, 1, 5, 4), (1, 0, 1)), ((3, 2, 6, 7), (1, 2, 1)),
+                 ((0, 3, 7, 4), (0, 1, 1)), ((1, 2, 6, 5), (2, 1, 1))]
+        vertex_neg = {
+            v: naive_evaluate(p, [node[i] for i in v]) < 0 for v in np.ndindex(n + 1, n + 1, n + 1)
+        }
+        flipped = kept = 0
+        for cell in np.ndindex(n, n, n):
+            neg = [vertex_neg[tuple(c + o for c, o in zip(cell, offset))] for offset in corners]
+            votes = 0
+            for (a, b, c, d), center in faces:
+                if neg[a] == neg[c] and neg[b] == neg[d] and neg[a] != neg[b]:
+                    point = [node[i] + h * half for i, h in zip(cell, center)]
+                    votes += 1 if naive_evaluate(p, point) < 0 else -1
+            flipped += votes > 0
+            kept += votes < 0
+        assert flipped > 0 and kept > 0
+
+
+def _whole_grid(p, box, n, start=True):
+    """Vertex values over the whole grid by the formula meshes used before
+    slabs: a zero grid plus one broadcast product per term, in sorted term
+    order.  With start=False the sum begins at the first term instead."""
+    d = box.dimension
+    nodes = [float(a) + np.arange(n + 1) * float((b - a) / n) for a, b in box.intervals]
+    values = np.zeros((n + 1,) * d) if start else None
+    for exponents in sorted(p.terms):
+        factor = np.full(1, float(p.terms[exponents]))
+        for j, e in enumerate(exponents):
+            shape = [1] * d
+            shape[j] = n + 1
+            factor = factor * (nodes[j] ** e).reshape(shape)
+        if values is None:
+            values = np.broadcast_to(factor, (n + 1,) * d).copy()
+        else:
+            values += factor
+    return values
+
+
+# Every term vanishes on x1 = 0, where x2 < 0 (and x3 > 0 in d=3) makes each
+# of them -0.0: only the +0.0 start of the sum makes those vertices +0.0.
+_SEAM_CASES = {
+    2: ("x1*x2 - x1 + x1^2*x2", "0,1;-1,1"),
+    3: ("x1*x2*x3 - x1 + x1*x2", "0,1;-1,1;-1,1"),
+}
+_SEAM_HEIGHT = 4
+
+
+class TestSlabSeams:
+    @pytest.fixture
+    def slabs(self, monkeypatch):
+        """Slabs of _SEAM_HEIGHT cell rows at resolution n, and batches of 5 cells."""
+
+        def set_resolution(n, d):
+            budget = 16 * (_SEAM_HEIGHT + 1) * (n + 1) ** (d - 1)
+            monkeypatch.setattr(meshing, "_SLAB_BYTES", budget)
+            monkeypatch.setattr(meshing, "_BATCH_CELLS", 5)
+            assert meshing._slab_rows(n, d) == _SEAM_HEIGHT
+
+        return set_resolution
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize(
+        "n", [_SEAM_HEIGHT - 1, _SEAM_HEIGHT, 2 * _SEAM_HEIGHT - 1, 2 * _SEAM_HEIGHT + 1]
+    )
+    def test_crossed_corners_match_whole_grid(self, slabs, d, n):
+        slabs(n, d)
+        text, box = _SEAM_CASES[d]
+        p = parse_polynomial(text, d)
+        box = Box.parse(box, d)
+        nodes = [meshing._node_array(a, b, n) for a, b in box.intervals]
+        offsets = np.array(list(itertools.product((0, 1), repeat=d)))
+        batches = list(meshing._crossed_cells(p, nodes, offsets, 5))
+        cells = np.concatenate([c for c, _ in batches])
+        values = np.concatenate([v for _, v in batches], axis=1)
+
+        grid = _whole_grid(p, box, n)
+        corner_grids = [grid[tuple(slice(o, o + n) for o in offset)] for offset in offsets]
+        mixed = np.zeros((n,) * d, dtype=bool)
+        for corner in corner_grids[1:]:
+            mixed |= (corner < 0) != (corner_grids[0] < 0)
+        expected = np.flatnonzero(mixed)
+        assert np.array_equal(cells, expected)
+        for row, corner in zip(values, corner_grids):
+            assert row.tobytes() == corner.reshape(-1)[expected].tobytes()
+
+        # Some crossed corner is a sum of negative zeros, which the mesh keeps as +0.0.
+        negative_zero = np.signbit(_whole_grid(p, box, n, start=False)) & (grid == 0)
+        assert any(
+            negative_zero[tuple(slice(o, o + n) for o in offset)].reshape(-1)[expected].any()
+            for offset in offsets
+        )
+        assert not np.signbit(values[values == 0]).any()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [_SEAM_HEIGHT, 2 * _SEAM_HEIGHT + 1])
+    def test_mesh_matches_one_slab(self, slabs, d, n):
+        text, box = _SEAM_CASES[d]
+        p = parse_polynomial(text, d)
+        box = Box.parse(box, d)
+        measure = marching_squares_length if d == 2 else marching_cubes_area
+        whole = measure(p, box, n, keep_mesh=True)
+        assert meshing._slab_rows(n, d) >= n  # one slab, one batch
+        slabs(n, d)
+        sliced = measure(p, box, n, keep_mesh=True)
+        assert sliced.value.hex() == whole.value.hex()
+        assert sliced.cells_with_sign_change == whole.cells_with_sign_change
+        assert sliced.mesh.tobytes() == whole.mesh.tobytes()
+
+
+class TestMeshMemory:
+    @pytest.mark.parametrize(
+        "d, n, measure", [(2, 2048, marching_squares_length), (3, 128, marching_cubes_area)]
+    )
+    def test_no_whole_float_grid(self, d, n, measure):
+        # Peak traced allocation (NumPy reports its buffers to tracemalloc)
+        # stays below half of one whole (n+1)^d float64 vertex grid.
+        p = sharpness_polynomial(d, 512)
+        box = Box.cube(0, 1, d)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            measure(p, box, n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 8 * (n + 1) ** d / 2
 
 
 class TestGridInvariances:
