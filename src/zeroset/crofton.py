@@ -10,16 +10,23 @@ Two exports matter most:
   on which the polynomial vanishes identically contribute zero (they form a
   Lebesgue-null set) and are tallied separately.
 
-Per-line counts are certified (exact Sturm counts), and both schemes sample
-at exact rational base points, so every estimate is an exact rational that
-is only converted to float for reporting.  All reductions are integer sums,
-which makes results bit-identical regardless of worker count.
+Per-line counts are certified, and both schemes sample at exact rational
+base points, so every estimate is an exact rational that is only converted
+to float for reporting.  All reductions are integer sums, which makes results
+bit-identical regardless of worker count.
 
-The line loop never leaves Z.  Every base point of one axis shares a
-denominator D, so it is a tuple of integer numerators N with x = N/D.  The
-coefficients of p in x_k, scaled to integers once per axis and homogenized
-over D, evaluate at N to a positive integer multiple of the restricted
-polynomial, which `count_int_roots` counts directly.
+Every base point of one axis shares a denominator D, so it is a tuple of
+integer numerators N with x = N/D.  The coefficients of p in x_k, scaled to
+integers once per axis and homogenized over D, evaluate at N to a positive
+integer multiple of the restricted polynomial.  A chunk of at least
+`_BATCH_LINES` lines is counted in NumPy slabs: the Möbius map
+x = (lo + hi*t) / (1 + t) turns those tables into tables of the
+coefficients q_j(N) of a polynomial in t whose positive roots are the line's
+roots inside (lo, hi).  Each q_j is evaluated in float64 next to a forward
+error bound, and a line whose q_j all have certified signs with at most one
+sign variation is counted by Descartes' rule of signs.  Every other line, and
+every line of a smaller chunk, is evaluated exactly in Z and counted by
+`count_int_roots`.
 """
 
 from __future__ import annotations
@@ -29,13 +36,16 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .polynomial import Polynomial, RationalLike, TrivialPolynomialError, _coerce
 # unit_fraction is the rational form of the Monte Carlo draws below; it stays
 # importable from here because perfbench's tracer wraps crofton.unit_fraction.
-from .rng import UNIT_BITS, mix64, unit_fraction  # noqa: F401
-from .sturm import RootCount, count_int_roots, count_real_roots
+from .rng import UNIT_BITS, mix64_array, unit_fraction  # noqa: F401
+from .sturm import Ratio, RootCount, count_int_roots, count_real_roots
 
 DEFAULT_SEED = 20240601
 DEFAULT_CONFIDENCE = 0.95
@@ -243,56 +253,222 @@ def _coefficient_tables(p: Polynomial, k: int, scale: int) -> list[list[tuple]]:
     ]
 
 
-def _grid_numerators(projected: Box, n: int, den: int, start: int, stop: int):
-    """Numerators over 2n*den of the midpoints of base cells start..stop-1 (row-major)."""
-    spans = [
-        (_scaled(a, 2 * n * den), _scaled(b - a, den)) for a, b in reversed(projected.intervals)
-    ]
-    for index in range(start, stop):
-        point = []
-        for low, width in spans:
-            index, i = divmod(index, n)
-            point.append(low + (2 * i + 1) * width)
-        point.reverse()
-        yield point
+def _mobius_column(kappa: int, i: int, lo: Ratio, hi: Ratio) -> list[int]:
+    """t^j coefficients, j = 0..kappa, of (a0 + a1*t)**i * (w*(1 + t))**(kappa - i).
+
+    With lo = ln/ld, hi = hn/hd, a0 = ln*hd, a1 = hn*ld and w = ld*hd,
+    x = (a0 + a1*t) / (w*(1 + t)) maps t in [0, inf] onto [lo, hi], so these
+    columns turn the coefficients of a line polynomial in x into those of
+    (w*(1 + t))**kappa times it, as a polynomial in t.
+    """
+    (ln, ld), (hn, hd) = lo, hi
+    a0, a1, w = ln * hd, hn * ld, ld * hd
+    rest = kappa - i
+    column = [0] * (kappa + 1)
+    for r in range(i + 1):
+        left = math.comb(i, r) * a0 ** (i - r) * a1**r * w**rest
+        for s in range(rest + 1):
+            column[r + s] += left * math.comb(rest, s)
+    return column
 
 
-def _mc_numerators(projected: Box, den: int, seed: int, stream: int, start: int, stop: int):
-    """Numerators over 2**53*den of samples start..stop-1 of the stream (as `unit_fraction`)."""
-    spans = [(_scaled(a, den << UNIT_BITS), _scaled(b - a, den)) for a, b in projected.intervals]
-    m = len(spans)
-    for index in range(start, stop):
-        offset = (stream + index) * m
-        yield [
-            low + width * (mix64(seed, offset + j) >> (64 - UNIT_BITS))
-            for j, (low, width) in enumerate(spans)
-        ]
+# A chunk of fewer lines is counted line by line in integers, where the fixed
+# NumPy cost of a batch outweighs what it saves.  Timed per chunk of the unit
+# square, the batch breaks even near 50 lines of degree 1, near 100 of
+# degree 2 and below 8 of degree 4.
+_BATCH_LINES = 64
+# Lines one batch evaluates together, which caps its memory at a few MiB.
+_SLAB_LINES = 4096
+# Every integer of magnitude below 2**53 is a float64, and so is every sum or
+# product of such integers that stays below it.
+_EXACT_BELOW = float(1 << 53)
+
+
+class _Filter:
+    """Float64 Möbius-Descartes counts of axis lines, certified or deferred.
+
+    The integer tables of q_j(N), the coefficients of the line polynomial
+    moved onto t in [0, inf] (`_mobius_column`), are grouped by monomial in
+    the base numerators N: q_j(N) = sum of table[j, r] * N**monomial[r].
+    """
+
+    def __init__(self, tables: list[list[tuple]], lo: Ratio, hi: Ratio):
+        kappa = len(tables) - 1
+        rows: dict[tuple, list[int]] = {}
+        for i, terms in enumerate(tables):
+            if not terms:
+                continue
+            column = _mobius_column(kappa, i, lo, hi)
+            for factor, powers in terms:
+                row = rows.setdefault(powers, [0] * (kappa + 1))
+                for j, entry in enumerate(column):
+                    row[j] += entry * factor
+        self.monomials = list(rows)
+        # float() raises OverflowError on a factor beyond float64; the caller
+        # then counts every line exactly.
+        self.table = np.array([[float(rows[mono][j]) for mono in self.monomials]
+                               for j in range(kappa + 1)])
+        self.absolute = np.abs(self.table)
+        # The highest power of each base axis that a monomial takes.
+        self.top: dict[int, int] = {}
+        for mono in self.monomials:
+            for axis, e in mono:
+                self.top[axis] = max(self.top.get(axis, 0), e)
+        # Each computed term carries 2e + 1 roundings (the factor, e base
+        # numerators, e multiplications) for a monomial of degree e, and a sum
+        # of n terms adds n - 1, so |computed - exact| <= gamma_K * S with
+        # K = 2*e_max + n and S the exact sum of |terms| (Higham, "Accuracy and
+        # Stability of Numerical Algorithms", 3.1), whatever order the sum
+        # takes.  The computed S is at least (1 - gamma_K) * S, so the bound is
+        # gamma_2K times it; the factor 2 covers rounding the bound itself.
+        degree = max(sum(e for _, e in mono) for mono in self.monomials)
+        steps = 2 * (2 * degree + len(self.monomials))
+        unit = 2.0**-53
+        self.gamma = 2 * steps * unit / (1 - steps * unit)
+
+    def counts(self, numerators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per line (columns of the int64 `numerators`), its count and whether it is deferred.
+
+        A line inside the zero set counts -1.  A line is decided when every
+        q_j has a certified sign and q has at most one sign variation V; its
+        count is then [q_0 = 0] + [q_kappa = 0] + V (roots at lo, at hi, and
+        Descartes' rule on the open interval).
+        """
+        base = numerators.astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = {}
+            for axis, top in self.top.items():
+                powers[axis] = [None, base[axis]]
+                for _ in range(top - 1):
+                    powers[axis].append(powers[axis][-1] * base[axis])
+            values = np.empty((len(self.monomials), base.shape[1]))
+            for r, mono in enumerate(self.monomials):
+                if not mono:
+                    values[r] = 1.0
+                    continue
+                (axis, e), *others = mono
+                value = powers[axis][e]
+                for axis, e in others:
+                    value = value * powers[axis][e]
+                values[r] = value
+            q = self.table @ values
+            sums = self.absolute @ np.abs(values)
+            # Below 2**53 every term and partial sum is an exact integer; an
+            # inexact base numerator or factor would itself reach 2**53.
+            error = np.where(sums < _EXACT_BELOW, 0.0, self.gamma * sums)
+            # NaN and inf fail `>`, so they defer the line.
+            unsure = ~(np.abs(q) > error) & (error != 0)
+        signs = (q > 0).astype(np.int8) - (q < 0)
+        last = signs[0]
+        variations = np.zeros(base.shape[1], dtype=np.int64)
+        for s in signs[1:]:
+            variations += s * last < 0
+            last = np.where(s != 0, s, last)
+        counts = variations + (signs[0] == 0) + (signs[-1] == 0)
+        counts[~signs.any(axis=0)] = -1
+        return counts, unsure.any(axis=0) | (variations > 1)
+
+
+class _AxisLines:
+    """The axis-k lines of a scheme, with integer base points N / scale.
+
+    Line i has N_b = low_b + width_b * multiplier_b(i): the multiplier is
+    2j + 1 for the j-th midpoint of grid:n (the last base axis varies
+    fastest), and the top 53 bits of `mix64` for Monte Carlo, as in
+    `unit_fraction`.
+    """
+
+    def __init__(self, p: Polynomial, box: Box, k: int, scheme: Scheme):
+        projected = box.project(k)
+        self.k = k
+        self.scheme = scheme
+        self.lo, self.hi = (x.as_integer_ratio() for x in box.interval(k))
+        den = math.lcm(*(x.denominator for pair in projected.intervals for x in pair))
+        if isinstance(scheme, GridScheme):
+            scale = 2 * scheme.points_per_axis * den
+            reach = 2 * scheme.points_per_axis - 1
+        else:
+            scale = den << UNIT_BITS
+            reach = (1 << UNIT_BITS) - 1
+        self.spans = [(_scaled(a, scale), _scaled(b - a, den)) for a, b in projected.intervals]
+        self.tables = _coefficient_tables(p, k, scale)
+        # The batch computes N = low + width * multiplier in int64.
+        self.fits = all(
+            max(abs(low), abs(low + width * reach), width * reach) < 1 << 63
+            for low, width in self.spans
+        )
+
+    def multipliers(self, start: int, stop: int) -> np.ndarray:
+        """int64 multipliers of lines start..stop-1, one row per base axis."""
+        index = np.arange(start, stop, dtype=np.int64)
+        out = np.empty((len(self.spans), stop - start), dtype=np.int64)
+        if isinstance(self.scheme, GridScheme):
+            for b in reversed(range(len(self.spans))):
+                index, j = np.divmod(index, self.scheme.points_per_axis)
+                out[b] = 2 * j + 1
+        else:
+            m = len(self.spans)
+            counters = (index + (self.k - 1) * self.scheme.samples).astype(np.uint64) * np.uint64(m)
+            for b in range(m):
+                bits = mix64_array(self.scheme.seed, counters + np.uint64(b))
+                out[b] = bits >> np.uint64(64 - UNIT_BITS)
+        return out
+
+    def numerators(self, multipliers: np.ndarray) -> np.ndarray:
+        """int64 base numerators of the lines, for spans that `fits`."""
+        lows, widths = (np.array(column, dtype=np.int64) for column in zip(*self.spans))
+        return lows[:, None] + multipliers * widths[:, None]
+
+    def exact_counts(self, multipliers: np.ndarray) -> np.ndarray:
+        """Counts of the lines in integer arithmetic, -1 for a line inside the zero set."""
+        out = []
+        for column in multipliers.T.tolist():
+            point = [low + width * x for (low, width), x in zip(self.spans, column)]
+            coefficients = []
+            for terms in self.tables:
+                value = 0
+                for factor, powers in terms:
+                    for i, e in powers:
+                        factor *= point[i] ** e
+                    value += factor
+                coefficients.append(value)
+            count = count_int_roots(coefficients, self.lo, self.hi)
+            out.append(-1 if count is None else count)
+        return np.array(out, dtype=np.int64)
+
+    @cached_property
+    def filter(self) -> _Filter | None:
+        """The float filter, or None when numerators or factors leave int64 or float64."""
+        if not self.fits:
+            return None
+        try:
+            return _Filter(self.tables, self.lo, self.hi)
+        except OverflowError:
+            return None
+
+    def batch_counts(self, multipliers: np.ndarray) -> np.ndarray:
+        """Counts of the lines: the float filter first, integers for the lines it defers."""
+        if self.filter is None:
+            return self.exact_counts(multipliers)
+        counts, deferred = self.filter.counts(self.numerators(multipliers))
+        if deferred.any():
+            counts[deferred] = self.exact_counts(multipliers[:, deferred])
+        return counts
+
+
+def _slab_counts(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, stop: int):
+    """Counts of lines start..stop-1, one int64 array per slab; -1 marks a line in the zero set."""
+    lines = _AxisLines(p, box, k, scheme)
+    count = lines.exact_counts if stop - start < _BATCH_LINES else lines.batch_counts
+    for first in range(start, stop, _SLAB_LINES):
+        yield count(lines.multipliers(first, min(first + _SLAB_LINES, stop)))
 
 
 def _line_counts(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, stop: int):
     """Distinct-root counts (None for a line inside the zero set) of lines start..stop-1."""
-    projected = box.project(k)
-    lo, hi = (x.as_integer_ratio() for x in box.interval(k))
-    den = math.lcm(*(x.denominator for pair in projected.intervals for x in pair))
-    if isinstance(scheme, GridScheme):
-        n = scheme.points_per_axis
-        scale = 2 * n * den
-        points = _grid_numerators(projected, n, den, start, stop)
-    else:
-        scale = den << UNIT_BITS
-        stream = (k - 1) * scheme.samples
-        points = _mc_numerators(projected, den, scheme.seed, stream, start, stop)
-    tables = _coefficient_tables(p, k, scale)
-    for point in points:
-        coefficients = []
-        for terms in tables:
-            value = 0
-            for factor, powers in terms:
-                for i, e in powers:
-                    factor *= point[i] ** e
-                value += factor
-            coefficients.append(value)
-        yield count_int_roots(coefficients, lo, hi)
+    for counts in _slab_counts(p, box, k, scheme, start, stop):
+        for count in counts.tolist():
+            yield None if count < 0 else count
 
 
 def _count_range(args) -> tuple[int, int]:
@@ -303,11 +479,10 @@ def _count_range(args) -> tuple[int, int]:
     """
     total = 0
     degenerate = 0
-    for count in _line_counts(*args):
-        if count is None:
-            degenerate += 1
-        else:
-            total += count
+    for counts in _slab_counts(*args):
+        inside = int(np.count_nonzero(counts < 0))
+        total += int(counts.sum()) + inside  # a line inside the zero set reads -1
+        degenerate += inside
     return total, degenerate
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 UNIT_BITS = 53
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -20,6 +22,14 @@ def mix64(seed: int, counter: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
+
+
+def mix64_array(seed: int, counters: np.ndarray) -> np.ndarray:
+    """`mix64(seed, c)` for each c of a uint64 array, bit for bit: uint64 wraps mod 2**64."""
+    z = (counters + np.uint64(1)) * np.uint64(_GOLDEN) + np.uint64(seed & _MASK)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def unit_fraction(seed: int, counter: int) -> Fraction:

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zeroset import (
     Box,
@@ -16,8 +18,8 @@ from zeroset import (
     theorem_bound,
 )
 from zeroset import crofton
-from zeroset.crofton import _count_range, _line_counts, line_pool
-from zeroset.rng import mix64, unit_fraction
+from zeroset.crofton import _AxisLines, _count_range, _line_counts, line_pool
+from zeroset.rng import mix64, mix64_array, unit_fraction
 from zeroset.sturm import count_real_roots
 
 from oracles import random_polynomial
@@ -430,3 +432,204 @@ class TestIntegerLinePath:
         ]
         # the degree drops to 1 on the line x2 = m2: its one root x1 = 1/4 is inside
         assert lines(planted["vanishing_leading"], 1)[1] == 1
+
+
+ODD_BOX_4 = Box.parse("-1/3,5/7;1/2,9/4;-2,-1/5;1/9,7/3", 4)
+
+
+@pytest.fixture
+def batched(monkeypatch):
+    """Every chunk takes the batch, in slabs of 7 lines, so slab seams fall mid-chunk."""
+    monkeypatch.setattr(crofton, "_BATCH_LINES", 1)
+    monkeypatch.setattr(crofton, "_SLAB_LINES", 7)
+
+
+def exact_line_counts(p, box, k, scheme, n_points):
+    """Per-line counts on the integer path alone, as `_line_counts` gives them for small chunks."""
+    lines = _AxisLines(p, box, k, scheme)
+    counts = lines.exact_counts(lines.multipliers(0, n_points)).tolist()
+    return [None if c < 0 else c for c in counts]
+
+
+def filter_verdicts(p, box, k, scheme, n_points):
+    """The float filter's (counts, deferred) on every line, next to the integer counts."""
+    lines = _AxisLines(p, box, k, scheme)
+    multipliers = lines.multipliers(0, n_points)
+    counts, deferred = lines.filter.counts(lines.numerators(multipliers))
+    return counts, deferred, lines.exact_counts(multipliers)
+
+
+class TestBatchedLinePath:
+    """The batch (float filter, integer path for what it defers) against the integer path."""
+
+    @pytest.mark.parametrize(
+        "box,schemes",
+        [
+            (ODD_BOX_2, (GridScheme(9), MonteCarloScheme(30, seed=3))),
+            (ODD_BOX_3, (GridScheme(4), MonteCarloScheme(20, seed=4))),
+            (ODD_BOX_4, (GridScheme(3), MonteCarloScheme(12, seed=5))),
+            (Box.cube(0, 1, 2), (GridScheme(8), MonteCarloScheme(30, seed=6))),
+            (Box.cube(0, 1, 3), (GridScheme(4), MonteCarloScheme(20, seed=7))),
+            (Box.cube(0, 1, 4), (GridScheme(3), MonteCarloScheme(12, seed=8))),
+        ],
+    )
+    def test_seeded_corpus(self, batched, box, schemes):
+        rng = random.Random(7919 * box.dimension + len(str(box)))
+        for _ in range(10):
+            p = random_polynomial(rng, box.dimension, 4)
+            for scheme in schemes:
+                for k in range(1, box.dimension + 1):
+                    n_points = crofton._lines_per_axis(box, scheme)
+                    expected = exact_line_counts(p, box, k, scheme, n_points)
+                    assert list(_line_counts(p, box, k, scheme, 0, n_points)) == expected
+                    finite = [c for c in expected if c is not None]
+                    totals = (sum(finite), n_points - len(finite))
+                    middle = n_points // 2 + 1
+                    head = _count_range((p, box, k, scheme, 0, middle))
+                    tail = _count_range((p, box, k, scheme, middle, n_points))
+                    assert (head[0] + tail[0], head[1] + tail[1]) == totals
+
+    def test_batch_matches_fraction_reference(self, batched):
+        rng = random.Random(2027)
+        for _ in range(6):
+            p = random_polynomial(rng, 2, 4)
+            scheme = MonteCarloScheme(40, seed=9)
+            TestIntegerLinePath().assert_matches_reference(p, ODD_BOX_2, scheme)
+
+    def test_estimates_unchanged(self, monkeypatch):
+        p = parse_polynomial("x1^2*x2 - 3/2*x1*x2^3 + x3^2 - 1/5", 3)
+        box = Box.cube(0, 1, 3)
+        for scheme in (GridScheme(12), MonteCarloScheme(300, seed=12)):
+            monkeypatch.setattr(crofton, "_BATCH_LINES", 10**9)
+            exact = crofton_upper_estimate(p, box, scheme)
+            monkeypatch.setattr(crofton, "_BATCH_LINES", 1)
+            monkeypatch.setattr(crofton, "_SLAB_LINES", 50)
+            assert crofton_upper_estimate(p, box, scheme) == exact
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, -1, 2**70 + 3])
+    def test_vectorized_mix64(self, seed):
+        counters = [0, 1, 2, 3, 12345, 2**32 + 7, 2**40, 2**63, 2**64 - 2, 2**64 - 1]
+        bits = mix64_array(seed, np.array(counters, dtype=np.uint64))
+        assert bits.tolist() == [mix64(seed, c) for c in counters]
+
+
+class TestFilterDeferral:
+    """Lines the float filter must leave to the integer path, or decide exactly."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["zero_lines", "endpoint_roots_1", "endpoint_roots_2", "double_root", "vanishing_leading"],
+    )
+    @pytest.mark.parametrize("scheme", [GridScheme(5), MonteCarloScheme(20, seed=11)])
+    def test_planted_cases(self, batched, name, scheme):
+        p = TestIntegerLinePath().planted(5)[name]
+        TestIntegerLinePath().assert_matches_reference(p, ODD_BOX_2, scheme)
+
+    def test_planted_grid_lines_are_decided_exactly(self):
+        # Grid numerators stay small, so every float sum is exact: zero lines,
+        # endpoint roots and the degree drop are decided by the filter itself.
+        planted = TestIntegerLinePath().planted(5)
+        for name, k in (("zero_lines", 1), ("endpoint_roots_1", 1), ("vanishing_leading", 1)):
+            counts, deferred, exact = filter_verdicts(planted[name], ODD_BOX_2, k, GridScheme(5), 5)
+            assert not deferred.any()
+            assert counts.tolist() == exact.tolist()
+        # a double root inside the interval has two sign variations
+        double = planted["double_root"]
+        counts, deferred, exact = filter_verdicts(double, ODD_BOX_2, 1, GridScheme(5), 5)
+        assert deferred.tolist() == [c == 1 for c in exact.tolist()]
+
+    def test_inexact_sum_with_exact_zero_is_deferred(self):
+        # x1 + 3*x2^3 - x2^2 - (3c^3 - c^2) has its root at the lower end
+        # x1 = 0 exactly on the Monte Carlo line x2 = c.  There q_0 is an exact
+        # zero, but its float sum has terms beyond 2**300 and reads a few units
+        # in the last place either side of 0: only the error bound keeps the
+        # filter from deciding the line on the sign of a rounding error.
+        scheme = MonteCarloScheme(8, seed=21)
+        box = Box.cube(0, 1, 2)
+        for i, (c,) in enumerate(reference_base_points(box, 1, scheme)):
+            p = parse_polynomial("x1 + 3*x2^3 - x2^2", 2) - (3 * c**3 - c**2)
+            counts, deferred, exact = filter_verdicts(p, box, 1, scheme, 8)
+            assert deferred[i]
+            assert exact[i] == 1
+            assert list(_line_counts(p, box, 1, scheme, 0, 8))[i] == 1
+
+    def test_grid_sum_past_2_53_is_bounded(self):
+        # On grid:4 the axis-1 line x2 = 3/8 has its root at x1 = 0.  The two
+        # terms of q_0, near 3 * 2**56, are not float64 integers, so their
+        # float sum is 32 where the exact one is 0.
+        p = parse_polynomial("x1", 2) - (2**53 + 1) * (parse_polynomial("x2", 2) - Fraction(3, 8))
+        counts, deferred, exact = filter_verdicts(p, UNIT_SQUARE, 1, GridScheme(4), 4)
+        assert deferred[1] and exact[1] == 1
+        assert list(_line_counts(p, UNIT_SQUARE, 1, GridScheme(4), 0, 4))[1] == 1
+
+    def test_overflow_and_nan_are_deferred(self):
+        # Powers of a numerator near 2**62 overflow float64: the two terms of
+        # the axis-2 line's q_1 are inf and -inf, and their sum is NaN.
+        p = parse_polynomial("x1^20*x2 - x1^19*x2 - 1/3", 2)
+        lines = _AxisLines(p, UNIT_SQUARE, 2, GridScheme(4))
+        counts, deferred = lines.filter.counts(np.array([[2**62, 2**62 - 1, 3]], dtype=np.int64))
+        assert deferred.tolist() == [True, True, False]
+
+    def test_numerators_beyond_int64_go_exact(self):
+        # Monte Carlo numerators of x1 in [0, 4096] reach 2**65.
+        p = parse_polynomial("x1*x2 - 1000", 2)
+        box = Box.parse("0,4096;0,1", 2)
+        scheme = MonteCarloScheme(80, seed=4)
+        assert _AxisLines(p, box, 2, scheme).filter is None
+        TestIntegerLinePath().assert_matches_reference(p, box, scheme)
+
+    @pytest.mark.parametrize("scheme", [GridScheme(70), MonteCarloScheme(70, seed=2)])
+    def test_huge_coefficient_goes_exact(self, scheme):
+        p = Polynomial(2, {(1, 1): 10**400, (0, 0): Fraction(-1, 3)})
+        lines = _AxisLines(p, UNIT_SQUARE, 1, scheme)
+        assert lines.filter is None
+        assert list(_line_counts(p, UNIT_SQUARE, 1, scheme, 0, 70)) == exact_line_counts(
+            p, UNIT_SQUARE, 1, scheme, 70
+        )
+
+    @pytest.mark.parametrize("scheme", [GridScheme(64), MonteCarloScheme(64, seed=17)])
+    def test_high_degree(self, scheme):
+        # On the axis-1 line x2 = c the root (1/(3c))^(1/300) is in [0, 1] iff
+        # c >= 1/3; on the axis-2 line x1 = c the root 1/(3 c^300) is inside
+        # iff c^300 >= 1/3.
+        p = parse_polynomial("x1^300*x2 - 1/3", 2)
+        assert _AxisLines(p, UNIT_SQUARE, 2, scheme).filter is None  # scale**300 overflows
+        for k in (1, 2):
+            bases = [c for (c,) in reference_base_points(UNIT_SQUARE, k, scheme)]
+            expected = [
+                int(c >= Fraction(1, 3)) if k == 1 else int(3 * c**300 >= 1) for c in bases
+            ]
+            assert list(_line_counts(p, UNIT_SQUARE, k, scheme, 0, 64)) == expected
+
+
+_coefficients = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    st.integers(-(10**30), 10**30),
+)
+_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), _coefficients, min_size=1, max_size=6
+)
+_intervals = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=9), min_size=2, max_size=2, unique=True
+).map(sorted)
+_schemes = st.one_of(
+    st.builds(GridScheme, st.integers(1, 24)),
+    st.builds(MonteCarloScheme, st.integers(1, 40), st.integers(-(2**64), 2**64)),
+)
+
+
+@settings(max_examples=100)
+@given(_terms, st.lists(_intervals, min_size=2, max_size=2), _schemes, st.integers(1, 2))
+def test_filter_decides_only_exact_counts(terms, intervals, scheme, k):
+    """Every line the filter decides has the count `count_int_roots` gives it."""
+    p = Polynomial(2, terms)
+    if p.is_trivial:
+        return
+    box = Box(intervals)
+    n_points = crofton._lines_per_axis(box, scheme)
+    lines = _AxisLines(p, box, k, scheme)
+    if lines.filter is None:
+        return
+    counts, deferred, exact = filter_verdicts(p, box, k, scheme, n_points)
+    decided = ~deferred
+    assert counts[decided].tolist() == exact[decided].tolist()

@@ -210,9 +210,23 @@ class TestMarchingCubes:
         assert abs(estimate.value - expected) <= 0.01 * expected
 
     def test_ambiguous_faces_deterministic(self):
-        p = parse_polynomial("x1^2 + x2^2 - x3^2 - 1/8", 3)
-        a = marching_cubes_area(p, Box.cube(-1, 1, 3), 17)
-        b = marching_cubes_area(p, Box.cube(-1, 1, 3), 17)
+        # x1*x2 = x3/1000 has a saddle on the x3 axis: the faces x3 = const
+        # of the cells around it have diagonally alternating corner signs.
+        p = parse_polynomial("x1*x2 - 1/1000*x3", 3)
+        box = Box.cube(-1, 1, 3)
+        n = 17
+        nodes = [Fraction(2 * i - n, n) for i in range(n + 1)]
+        negative = np.array(
+            [[[p.evaluate((a, b, c)) < 0 for c in nodes] for b in nodes] for a in nodes]
+        )
+        ambiguous = 0
+        for u, v in ((0, 1), (0, 2), (1, 2)):
+            s = np.moveaxis(negative, (u, v), (0, 1))
+            c00, c10, c11, c01 = s[:-1, :-1], s[1:, :-1], s[1:, 1:], s[:-1, 1:]
+            ambiguous += int(((c00 == c11) & (c10 == c01) & (c00 != c10)).sum())
+        assert ambiguous > 0
+        a = marching_cubes_area(p, box, n)
+        b = marching_cubes_area(p, box, n)
         assert a == b
         assert a.value > 0
 
