@@ -16,9 +16,7 @@ from .experiment import ExperimentRow, sharpness_experiment, sharpness_polynomia
 from .meshing import (
     MeasureEstimate,
     marching_cubes_area,
-    marching_cubes_triangles,
     marching_squares_length,
-    marching_squares_segments,
     measure_d1,
     write_mesh_csv,
 )
@@ -29,14 +27,6 @@ from .polynomial import (
     UnivariatePolynomial,
     parse_polynomial,
 )
-from .sturm import (
-    IDENTICALLY_ZERO,
-    RootCount,
-    RootInterval,
-    SturmChain,
-    count_real_roots,
-    isolate_roots,
-    sturm_chain,
-)
+from .sturm import IDENTICALLY_ZERO, RootCount, count_real_roots
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +58,6 @@ class RunConfig:
     box: Box
     scheme: Scheme
     resolution: int
-    workers: int
     out: str | None
     format: str
     dump_mesh: str | None
@@ -88,8 +87,16 @@ def _default_resolution(dimension: int) -> int:
     return 256 if dimension <= 2 else 64
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a usage error, so `main` reports it like any bad input."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zeroset",
         description="Degree bound and measure estimates for a polynomial zero set in a box.",
     )
@@ -124,22 +131,16 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         cmd.add_argument(
             "--workers", type=int, default=1,
-            help="worker cap, at most the available CPUs; never changes results",
+            help="accepted and ignored: every line is counted in this process",
         )
-        cmd.add_argument("--dump-mesh", default=None, help="write extracted mesh primitives as CSV")
         if name == "sharpness":
             cmd.add_argument(
                 "--n-list", default=None,
                 help="comma-separated increasing n values (default 4,16,64,256,1024 for d=2; 8,64,512 for d=3)",
             )
+        else:
+            cmd.add_argument("--dump-mesh", default=None, help="write extracted mesh primitives as CSV")
     return parser
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on (the cap on --workers)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -154,10 +155,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     resolution = _default_resolution(dimension) if args.resolution is None else args.resolution
     if resolution < 1:
         raise ValueError("--resolution must be positive")
-    if dimension in (2, 3) and (
-        args.command in ("measure", "report", "sharpness") or args.dump_mesh
-    ):
-        check_resolution(resolution)  # before any estimate runs or any pool starts
+    dump_mesh = getattr(args, "dump_mesh", None)
+    if dimension in (2, 3) and (args.command in ("measure", "report", "sharpness") or dump_mesh):
+        check_resolution(resolution)  # before any estimate runs
     n_values = None
     if args.command == "sharpness":
         text = args.n_list
@@ -177,10 +177,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         box=box,
         scheme=scheme,
         resolution=resolution,
-        workers=max(1, min(args.workers, _available_cpus())),
         out=args.out,
         format=args.format,
-        dump_mesh=args.dump_mesh,
+        dump_mesh=dump_mesh,
         n_values=n_values,
     )
 
@@ -207,9 +206,9 @@ def _scheme_dict(scheme: Scheme) -> dict:
 
 def _config_dict(config: RunConfig) -> dict:
     # Everything that determines the numbers, so a run can be reproduced
-    # exactly.  Output routing and the worker cap are deliberately absent:
-    # they never affect results, and reports must be byte-identical across
-    # worker counts.
+    # exactly.  Output routing is deliberately absent, and so is --workers,
+    # which is accepted and ignored: reports must be byte-identical whatever
+    # either says.
     out = {
         "command": config.command,
         "polynomial": config.polynomial,
@@ -322,8 +321,7 @@ def _execute(config: RunConfig) -> dict:
     results: dict = {}
     if config.command == "sharpness":
         rows = sharpness_experiment(
-            config.dimension, config.n_values, config.resolution, config.scheme,
-            workers=config.workers,
+            config.dimension, config.n_values, config.resolution, config.scheme
         )
         results["sharpness"] = [
             {
@@ -344,7 +342,7 @@ def _execute(config: RunConfig) -> dict:
     ):
         results["theorem_bound"] = _rational(theorem_bound(p, config.box))
     if config.command in ("crofton", "report"):
-        crofton = crofton_upper_estimate(p, config.box, config.scheme, workers=config.workers)
+        crofton = crofton_upper_estimate(p, config.box, config.scheme)
         results["crofton"] = _crofton_dict(crofton)
     estimate = None
     if config.command in ("measure", "report"):
@@ -362,10 +360,8 @@ def _emit_error(code: int, kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _build_config(args)
+        config = _build_config(_build_parser().parse_args(argv))
         results = _execute(config)
         payload = {"config": _config_dict(config), "results": results}
         if config.format == "json":

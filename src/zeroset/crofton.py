@@ -12,28 +12,25 @@ Two exports matter most:
 
 Per-line counts are certified, and both schemes sample at exact rational
 base points, so every estimate is an exact rational that is only converted
-to float for reporting.  All reductions are integer sums, which makes results
-bit-identical regardless of worker count.
+to float for reporting.  All reductions are integer sums, and every line is
+counted in the calling process.
 
 Every base point of one axis shares a denominator D, so it is a tuple of
 integer numerators N with x = N/D.  The coefficients of p in x_k, scaled to
 integers once per axis and homogenized over D, evaluate at N to a positive
-integer multiple of the restricted polynomial.  A chunk of at least
-`_BATCH_LINES` lines is counted in NumPy slabs: the Möbius map
-x = (lo + hi*t) / (1 + t) turns those tables into tables of the
-coefficients q_j(N) of a polynomial in t whose positive roots are the line's
-roots inside (lo, hi).  Each q_j is evaluated in float64 next to a forward
-error bound, and a line whose q_j all have certified signs with at most one
-sign variation is counted by Descartes' rule of signs.  Every other line, and
-every line of a smaller chunk, is evaluated exactly in Z and counted by
-`count_int_roots`.
+integer multiple of the restricted polynomial.  Lines are counted in NumPy
+slabs: the Möbius map x = (lo + hi*t) / (1 + t) turns those tables into
+tables of the coefficients q_j(N) of a polynomial in t whose positive roots
+are the line's roots inside (lo, hi).  Each q_j is evaluated in float64 next
+to a forward error bound, and a line whose q_j all have certified signs with
+at most one sign variation is counted by Descartes' rule of signs.  Every
+other line is evaluated exactly in Z and counted by `count_int_roots`, one
+Sturm sequence per line.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -272,11 +269,6 @@ def _mobius_column(kappa: int, i: int, lo: Ratio, hi: Ratio) -> list[int]:
     return column
 
 
-# A chunk of fewer lines is counted line by line in integers, where the fixed
-# NumPy cost of a batch outweighs what it saves.  Timed per chunk of the unit
-# square, the batch breaks even near 50 lines of degree 1, near 100 of
-# degree 2 and below 8 of degree 4.
-_BATCH_LINES = 64
 # Lines one batch evaluates together, which caps its memory at a few MiB.
 _SLAB_LINES = 4096
 # Every integer of magnitude below 2**53 is a float64, and so is every sum or
@@ -459,9 +451,8 @@ class _AxisLines:
 def _slab_counts(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, stop: int):
     """Counts of lines start..stop-1, one int64 array per slab; -1 marks a line in the zero set."""
     lines = _AxisLines(p, box, k, scheme)
-    count = lines.exact_counts if stop - start < _BATCH_LINES else lines.batch_counts
     for first in range(start, stop, _SLAB_LINES):
-        yield count(lines.multipliers(first, min(first + _SLAB_LINES, stop)))
+        yield lines.batch_counts(lines.multipliers(first, min(first + _SLAB_LINES, stop)))
 
 
 def _line_counts(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, stop: int):
@@ -471,15 +462,11 @@ def _line_counts(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, st
             yield None if count < 0 else count
 
 
-def _count_range(args) -> tuple[int, int]:
-    """Sum the per-line counts for a contiguous range of sample indices.
-
-    Returns (sum of finite counts, number of identically-zero lines).  Runs
-    in worker processes; integer sums make the reduction order-free.
-    """
+def _count_range(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, stop: int):
+    """(sum of finite counts, number of lines inside the zero set) over lines start..stop-1."""
     total = 0
     degenerate = 0
-    for counts in _slab_counts(*args):
+    for counts in _slab_counts(p, box, k, scheme, start, stop):
         inside = int(np.count_nonzero(counts < 0))
         total += int(counts.sum()) + inside  # a line inside the zero set reads -1
         degenerate += inside
@@ -493,37 +480,6 @@ def _lines_per_axis(box: Box, scheme: Scheme) -> int:
     return scheme.samples if box.dimension > 1 else 1
 
 
-@contextmanager
-def line_pool(box: Box, scheme: Scheme, workers: int):
-    """A process pool to share out axis lines, or None when they are counted inline.
-
-    Every axis has the same number of lines, so one pool can serve all axes
-    of a run (and every polynomial of the sharpness experiment).  A pool is
-    opened only when an axis has at least 4 lines per worker, and it is shut
-    down on leaving the block, whatever ends it.
-    """
-    if workers > 1 and _lines_per_axis(box, scheme) >= 4 * workers:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool
-    else:
-        yield None
-
-
-def _sum_counts(p, box, k, scheme, n_points, workers, pool: Executor | None) -> tuple[int, int]:
-    """Counts of lines 0..n_points-1, in `pool` (chunked) or inline when it is None."""
-    chunk = n_points if pool is None else -(-n_points // (4 * workers))
-    jobs = [
-        (p, box, k, scheme, start, min(start + chunk, n_points))
-        for start in range(0, n_points, chunk)
-    ]
-    total = 0
-    degenerate = 0
-    for part, bad in (map if pool is None else pool.map)(_count_range, jobs):
-        total += part
-        degenerate += bad
-    return total, degenerate
-
-
 def _check_estimator_input(p: Polynomial, box: Box) -> None:
     if p.is_trivial:
         raise TrivialPolynomialError("the estimator requires a nontrivial polynomial")
@@ -531,20 +487,11 @@ def _check_estimator_input(p: Polynomial, box: Box) -> None:
         raise ValueError("polynomial and box dimensions differ")
 
 
-def crofton_axis_integral(
-    p: Polynomial, box: Box, k: int, scheme: Scheme, workers: int = 1
-) -> AxisEstimate:
+def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> AxisEstimate:
     """Estimate of the axis-k integral of per-line root counts over the base box."""
     _check_estimator_input(p, box)
     p._check_axis(k)
-    with line_pool(box, scheme, workers) as pool:
-        return _axis_integral(p, box, k, scheme, workers, pool)
-
-
-def _axis_integral(p, box, k, scheme, workers, pool: Executor | None) -> AxisEstimate:
-    d = box.dimension
-
-    if d == 1:
+    if box.dimension == 1:
         # The base space is a point: the "integral" is the single line count.
         outcome = line_count(p, box, 1, ())
         exact = Fraction(outcome.count if not outcome.identically_zero else 0)
@@ -558,7 +505,7 @@ def _axis_integral(p, box, k, scheme, workers, pool: Executor | None) -> AxisEst
 
     projected = box.project(k)
     n_points = _lines_per_axis(box, scheme)
-    total, degenerate = _sum_counts(p, box, k, scheme, n_points, workers, pool)
+    total, degenerate = _count_range(p, box, k, scheme, 0, n_points)
     if isinstance(scheme, GridScheme):
         n = scheme.points_per_axis
         cell_volume = projected.volume / n_points
@@ -588,24 +535,12 @@ def _axis_integral(p, box, k, scheme, workers, pool: Executor | None) -> AxisEst
     )
 
 
-def crofton_upper_estimate(
-    p: Polynomial,
-    box: Box,
-    scheme: Scheme,
-    workers: int = 1,
-    pool: Executor | None = None,
-) -> CroftonResult:
-    """Sum over axes of the per-line count integrals, plus the cube bound when it applies.
-
-    `pool` is an open `line_pool(box, scheme, workers)` to count in; without
-    one, the call opens its own for all axes when the lines call for it.
-    """
+def crofton_upper_estimate(p: Polynomial, box: Box, scheme: Scheme) -> CroftonResult:
+    """Sum over axes of the per-line count integrals, plus the cube bound when it applies."""
     _check_estimator_input(p, box)
-    opened = line_pool(box, scheme, workers) if pool is None else nullcontext(pool)
-    with opened as pool:
-        per_axis = tuple(
-            _axis_integral(p, box, k, scheme, workers, pool) for k in range(1, box.dimension + 1)
-        )
+    per_axis = tuple(
+        crofton_axis_integral(p, box, k, scheme) for k in range(1, box.dimension + 1)
+    )
     total_exact = sum((e.exact for e in per_axis), Fraction(0))
     bound = theorem_bound(p, box) if box.is_cube else None
     return CroftonResult(

@@ -304,7 +304,8 @@ def marching_squares_length(
 ) -> MeasureEstimate:
     """Total polyline length of the zero level set on an N-by-N cell grid.
 
-    With `keep_mesh`, the segments of the same pass come back as `mesh`.
+    With `keep_mesh`, the segments of the same pass come back as `mesh`, one
+    row (x1, y1, x2, y2) per segment in global coordinates.
     """
     _check_input(p, box, 2, resolution)
     total, crossed, segments = _march_squares(p, box, resolution, want_segments=keep_mesh)
@@ -315,11 +316,6 @@ def marching_squares_length(
         cells_with_sign_change=crossed,
         mesh=segments,
     )
-
-
-def marching_squares_segments(p: Polynomial, box: Box, resolution: int) -> np.ndarray:
-    """Extracted segments as rows (x1, y1, x2, y2) in global coordinates."""
-    return marching_squares_length(p, box, resolution, keep_mesh=True).mesh
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +436,8 @@ def marching_cubes_area(
 ) -> MeasureEstimate:
     """Summed triangle area of the isosurface on an N**3 cell grid.
 
-    With `keep_mesh`, the triangles of the same pass come back as `mesh`.
+    With `keep_mesh`, the triangles of the same pass come back as `mesh`, one
+    row (x1, y1, z1, x2, y2, z2, x3, y3, z3) per triangle.
     """
     _check_input(p, box, 3, resolution)
     total, crossed, triangles = _march_cubes(p, box, resolution, want_triangles=keep_mesh)
@@ -451,11 +448,6 @@ def marching_cubes_area(
         cells_with_sign_change=crossed,
         mesh=triangles,
     )
-
-
-def marching_cubes_triangles(p: Polynomial, box: Box, resolution: int) -> np.ndarray:
-    """Extracted triangles as rows (x1, y1, z1, x2, y2, z2, x3, y3, z3)."""
-    return marching_cubes_area(p, box, resolution, keep_mesh=True).mesh
 
 
 def write_mesh_csv(stream: TextIO, primitives: np.ndarray, dimension: int) -> None:

@@ -10,8 +10,7 @@ literals in the text form are converted to rationals without rounding
 (0.25 -> 1/4).  Variables are 1-based (x1 .. xd) throughout the public API,
 matching the text syntax.
 
-Polynomials are immutable after construction and safe to share between
-workers.
+Polynomials are immutable after construction.
 """
 
 from __future__ import annotations
@@ -235,14 +234,6 @@ class Polynomial:
 
     __hash__ = None  # mutating dict field; identity hashing would mislead
 
-    # -- pickling (slots) -------------------------------------------------
-
-    def __getstate__(self):
-        return (self.dimension, self.terms)
-
-    def __setstate__(self, state):
-        self.dimension, self.terms = state
-
     def __repr__(self) -> str:
         return f"Polynomial({self.dimension}, {self.terms!r})"
 
@@ -371,12 +362,6 @@ class UnivariatePolynomial:
         return self.coefficients == other.coefficients
 
     __hash__ = None
-
-    def __getstate__(self):
-        return self.coefficients
-
-    def __setstate__(self, state):
-        self.coefficients = state
 
     def __repr__(self) -> str:
         return f"UnivariatePolynomial({self.coefficients!r})"

@@ -1,13 +1,18 @@
 import io
 import json
+import multiprocessing.process
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zeroset
 from zeroset import (
     cli,
-    crofton,
-    marching_cubes_triangles,
-    marching_squares_segments,
+    marching_cubes_area,
+    marching_squares_length,
     meshing,
     parse_polynomial,
     write_mesh_csv,
@@ -81,7 +86,7 @@ class TestExitCodes:
         ids=["measure-d2", "measure-d3", "report-d2", "report-d3", "sharpness-d2",
              "sharpness-d3", "crofton-dump-mesh"],
     )
-    def test_mesh_resolution_1_is_2_before_any_work(self, capsys, monkeypatch, fake_pool, argv):
+    def test_mesh_resolution_1_is_2_before_any_work(self, capsys, monkeypatch, argv):
         def no_work(*args, **kwargs):
             raise AssertionError("an estimate ran before the resolution was checked")
 
@@ -94,7 +99,6 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "parse_error"
-        assert fake_pool["opened"] == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -128,23 +132,61 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crofton", "--poly", "x1", "--dim", "x"],
+            ["crofton", "--dim", "2"],
+            ["frobnicate", "--dim", "2"],
+        ],
+        ids=["bad-int", "missing-poly", "unknown-subcommand"],
+    )
+    def test_usage_error_is_2_with_a_record(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "parse_error"
 
-class TestWorkerCap:
-    def config(self, workers):
-        args = cli._build_parser().parse_args(
-            ["crofton", "--poly", "x1", "--dim", "1", "--workers", str(workers)]
+    def test_sharpness_rejects_dump_mesh(self, capsys, tmp_path):
+        path = tmp_path / "mesh.csv"
+        code, out, err = run_cli(
+            ["sharpness", "--dim", "2", "--n-list", "4", "--scheme", "grid:4",
+             "--resolution", "8", "--dump-mesh", str(path)],
+            capsys,
         )
-        return cli._build_config(args)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "parse_error"
+        assert not path.exists()
 
-    def test_clamped_to_affinity(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert self.config(1000).workers == 3
-        assert self.config(2).workers == 2
-        assert self.config(0).workers == 1
 
-    def test_single_cpu(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5}, raising=False)
-        assert self.config(8).workers == 1
+class TestParser:
+    RUNS = [
+        ["bound", "--poly", "x1*x2 - 1/4", "--dim", "2"],
+        ["crofton", "--poly", "x1*x2 - 1/4", "--dim", "2", "--scheme", "mc:50", "--seed", "3"],
+        ["measure", "--poly", "x1^2 + x2^2 - 1/4", "--dim", "2", "--box=-1,1",
+         "--resolution", "16"],
+        ["sharpness", "--dim", "2", "--n-list", "4,16", "--scheme", "grid:8",
+         "--resolution", "16", "--format", "csv"],
+        ["report", "--poly", "x1*x2*x3 - 1/8", "--dim", "3", "--scheme", "grid:4",
+         "--resolution", "8"],
+        ["crofton", "--poly", "x1", "--dim", "x"],
+    ]
+
+    def test_built_once_with_the_output_of_a_fresh_process(self, capsys):
+        cli._build_parser.cache_clear()
+        outcomes = [run_cli(argv, capsys) for argv in self.RUNS]
+        assert cli._build_parser.cache_info().misses == 1
+        src = str(Path(zeroset.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        for argv, outcome in zip(self.RUNS, outcomes):
+            done = subprocess.run(
+                [sys.executable, "-m", "zeroset.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (done.returncode, done.stdout, done.stderr) == outcome, argv
 
 
 class TestReports:
@@ -225,19 +267,8 @@ class TestDeterminism:
         "dim, scheme, resolution", [("2", "grid:16", "32"), ("3", "grid:4", "8")]
     )
     def test_sharpness_reports_byte_identical_across_workers(
-        self, capsys, monkeypatch, dim, scheme, resolution
+        self, capsys, dim, scheme, resolution
     ):
-        # Real worker processes; two CPUs are made available so that
-        # --workers 2 keeps its value on a 1-CPU machine too.
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        opened = []
-
-        class CountedPool(crofton.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(crofton, "ProcessPoolExecutor", CountedPool)
         base = [
             "sharpness", "--dim", dim, "--n-list", "4,16", "--scheme", scheme,
             "--resolution", resolution,
@@ -247,46 +278,32 @@ class TestDeterminism:
             code, out, _ = run_cli(base + ["--workers", workers], capsys)
             assert code == 0
             reports.append(out)
-        assert opened == [2]
         assert reports[0] == reports[1]
 
 
-class TestPoolLifetime:
-    def test_sharpness_opens_one_pool_for_every_n(self, capsys, fake_pool):
-        code, _, _ = run_cli(
-            [
-                "sharpness", "--dim", "2", "--n-list", "4,16,64", "--scheme", "grid:64",
-                "--resolution", "16", "--workers", "2",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert fake_pool["opened"] == fake_pool["shut"] == 1
-        assert fake_pool["tasks"] == 3 * 2 * 8  # n values x axes x 4 chunks per worker
+class TestNoProcess:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sharpness", "--dim", "2", "--n-list", "4,16", "--scheme", "grid:16",
+             "--resolution", "16"],
+            ["crofton", "--poly", "x1*x2 - 1/4", "--dim", "2", "--scheme", "mc:400"],
+            ["report", "--poly", "x1*x2*x3 - 1/8", "--dim", "3", "--scheme", "grid:8",
+             "--resolution", "8"],
+        ],
+        ids=["sharpness", "crofton", "report"],
+    )
+    def test_workers_start_no_process_and_change_nothing(self, capsys, monkeypatch, argv):
+        def refuse(process):
+            raise AssertionError(f"a process was started: {process!r}")
 
-    @pytest.mark.parametrize("workers, scheme", [("1", "grid:64"), ("2", "grid:2")])
-    def test_no_pool_when_lines_are_counted_inline(self, capsys, fake_pool, workers, scheme):
-        code, _, _ = run_cli(
-            [
-                "sharpness", "--dim", "2", "--n-list", "4,16,64", "--scheme", scheme,
-                "--resolution", "16", "--workers", workers,
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert fake_pool["opened"] == 0
-
-    def test_d3_report_opens_one_pool_for_three_axes(self, capsys, fake_pool):
-        code, _, _ = run_cli(
-            [
-                "report", "--poly", "x1*x2*x3 - 1/8", "--dim", "3", "--scheme", "grid:4",
-                "--resolution", "8", "--workers", "2",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert fake_pool["opened"] == fake_pool["shut"] == 1
-        assert fake_pool["tasks"] == 3 * 8
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        reports = []
+        for workers in ("1", "2", "64"):
+            code, out, err = run_cli(argv + ["--workers", workers], capsys)
+            assert (code, err) == (0, "")
+            reports.append(out)
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestSharpnessCommand:
@@ -336,27 +353,27 @@ class TestMeshDump:
         assert len(lines) == 9  # 8 cells crossed, one segment each
 
     @pytest.mark.parametrize(
-        "argv, march, write",
+        "argv, march, measure",
         [
             (
                 ["measure", "--poly", "x1^2 + x2^2 - 1/4", "--dim", "2", "--box=-1,1",
                  "--resolution", "64"],
-                "_march_squares", marching_squares_segments,
+                "_march_squares", marching_squares_length,
             ),
             (
                 ["report", "--poly", "x1^2 + x2^2 + x3^2 - 1/4", "--dim", "3", "--box=-1,1",
                  "--scheme", "grid:4", "--resolution", "12"],
-                "_march_cubes", marching_cubes_triangles,
+                "_march_cubes", marching_cubes_area,
             ),
             (
                 ["crofton", "--poly", "x1*x2 - 1/4", "--dim", "2", "--scheme", "grid:4",
                  "--resolution", "16"],
-                "_march_squares", marching_squares_segments,
+                "_march_squares", marching_squares_length,
             ),
         ],
         ids=["measure-d2", "report-d3", "crofton-d2"],
     )
-    def test_meshes_once(self, capsys, monkeypatch, tmp_path, argv, march, write):
+    def test_meshes_once(self, capsys, monkeypatch, tmp_path, argv, march, measure):
         calls = []
         original = getattr(meshing, march)
 
@@ -375,5 +392,6 @@ class TestMeshDump:
         config = cli._build_config(cli._build_parser().parse_args(argv))
         p = parse_polynomial(config.polynomial, config.dimension)
         expected = io.StringIO()
-        write_mesh_csv(expected, write(p, config.box, config.resolution), config.dimension)
+        mesh = measure(p, config.box, config.resolution, keep_mesh=True).mesh
+        write_mesh_csv(expected, mesh, config.dimension)
         assert path.read_text() == expected.getvalue()

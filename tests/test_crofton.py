@@ -17,8 +17,8 @@ from zeroset import (
     parse_polynomial,
     theorem_bound,
 )
-from zeroset import crofton
-from zeroset.crofton import _AxisLines, _count_range, _line_counts, line_pool
+from zeroset import cli, crofton
+from zeroset.crofton import _AxisLines, _count_range, _line_counts
 from zeroset.rng import mix64, mix64_array, unit_fraction
 from zeroset.sturm import count_real_roots
 
@@ -202,6 +202,10 @@ class TestUpperEstimate:
         with pytest.raises(TrivialPolynomialError):
             crofton_upper_estimate(Polynomial.zero(2), UNIT_SQUARE, GridScheme(4))
 
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            crofton_upper_estimate(parse_polynomial("x1", 3), UNIT_SQUARE, GridScheme(64))
+
     def test_d1_convention(self):
         p = parse_polynomial("x1^2 - 1/4", 1)
         result = crofton_upper_estimate(p, Box.cube(0, 1, 1), GridScheme(7))
@@ -230,68 +234,6 @@ class TestUpperEstimate:
                 assert e.estimate <= p.degree_in(e.axis) * 1 + e.error_halfwidth
 
 
-class TestLinePool:
-    """Pool lifetimes, with the process pool replaced by an in-process stand-in."""
-
-    def test_upper_estimate_opens_one_pool_for_all_axes(self, fake_pool):
-        p = parse_polynomial("x1*x2*x3 - 1/8", 3)
-        inline = crofton_upper_estimate(p, Box.cube(0, 1, 3), GridScheme(4))
-        pooled = crofton_upper_estimate(p, Box.cube(0, 1, 3), GridScheme(4), workers=2)
-        assert fake_pool["opened"] == fake_pool["shut"] == 1
-        assert fake_pool["tasks"] == 3 * 8
-        assert pooled == inline
-
-    def test_axis_integral_opens_its_own_pool(self, fake_pool):
-        p = parse_polynomial("x1*x2 - 1/4", 2)
-        inline = crofton_axis_integral(p, UNIT_SQUARE, 2, GridScheme(16))
-        assert crofton_axis_integral(p, UNIT_SQUARE, 2, GridScheme(16), workers=2) == inline
-        assert fake_pool["opened"] == fake_pool["shut"] == 1
-
-    def test_given_pool_serves_every_call(self, fake_pool):
-        scheme = MonteCarloScheme(64, seed=5)
-        with line_pool(UNIT_SQUARE, scheme, 2) as pool:
-            for n in (4, 16, 64):
-                p = Polynomial(2, {(1, 1): 1, (0, 0): Fraction(-1, n)})
-                crofton_upper_estimate(p, UNIT_SQUARE, scheme, workers=2, pool=pool)
-        assert fake_pool["opened"] == fake_pool["shut"] == 1
-        assert fake_pool["tasks"] == 3 * 2 * 8
-
-    @pytest.mark.parametrize(
-        "box, scheme, workers",
-        [
-            (UNIT_SQUARE, GridScheme(7), 2),  # 7 lines per axis < 4 per worker
-            (UNIT_SQUARE, GridScheme(64), 1),
-            (Box.cube(0, 1, 1), MonteCarloScheme(1000), 2),  # d=1 has a single line
-        ],
-    )
-    def test_no_pool_for_few_lines(self, fake_pool, box, scheme, workers):
-        with line_pool(box, scheme, workers) as pool:
-            assert pool is None
-        p = parse_polynomial("x1 - 1/3", box.dimension)
-        crofton_upper_estimate(p, box, scheme, workers=workers)
-        assert fake_pool["opened"] == 0
-
-    def test_invalid_input_opens_no_pool(self, fake_pool):
-        with pytest.raises(TrivialPolynomialError):
-            crofton_upper_estimate(Polynomial.zero(2), UNIT_SQUARE, GridScheme(64), workers=2)
-        with pytest.raises(ValueError):
-            crofton_upper_estimate(
-                parse_polynomial("x1", 3), UNIT_SQUARE, GridScheme(64), workers=2
-            )
-        assert fake_pool["opened"] == 0
-
-    def test_pool_shut_down_when_a_task_fails(self, fake_pool, monkeypatch):
-        def broken(args):
-            raise RuntimeError("worker failed")
-
-        monkeypatch.setattr(crofton, "_count_range", broken)
-        with pytest.raises(RuntimeError):
-            crofton_upper_estimate(
-                parse_polynomial("x1 - 1/3", 2), UNIT_SQUARE, GridScheme(64), workers=2
-            )
-        assert fake_pool["opened"] == fake_pool["shut"] == 1
-
-
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
         p = parse_polynomial("x1*x2 - 1/4", 2)
@@ -301,14 +243,16 @@ class TestMonteCarlo:
         c = crofton_upper_estimate(p, UNIT_SQUARE, MonteCarloScheme(2000, seed=43))
         assert c != a
 
-    def test_workers_do_not_change_results(self):
-        p = parse_polynomial("x1^2*x2 - x2^2 + 1/3", 2)
-        grid1 = crofton_upper_estimate(p, UNIT_SQUARE, GridScheme(40), workers=1)
-        grid3 = crofton_upper_estimate(p, UNIT_SQUARE, GridScheme(40), workers=3)
-        assert grid1 == grid3
-        mc1 = crofton_upper_estimate(p, UNIT_SQUARE, MonteCarloScheme(3000, seed=7), workers=1)
-        mc4 = crofton_upper_estimate(p, UNIT_SQUARE, MonteCarloScheme(3000, seed=7), workers=4)
-        assert mc1 == mc4
+    def test_workers_do_not_change_results(self, capsys):
+        # --workers is accepted and ignored; the reports stay byte-identical.
+        for scheme in ("grid:40", "mc:3000"):
+            reports = []
+            for workers in ("1", "3", "4"):
+                argv = ["crofton", "--poly", "x1^2*x2 - x2^2 + 1/3", "--dim", "2",
+                        "--scheme", scheme, "--seed", "7", "--workers", workers]
+                assert cli.main(argv) == 0
+                reports.append(capsys.readouterr().out)
+            assert reports[0] == reports[1] == reports[2]
 
     def test_halfwidth_brackets_known_integral(self):
         # regression with the documented default seed: the circle's exact
@@ -356,6 +300,13 @@ def grid_midpoint(box, axis, n, i):
     return a + (2 * i + 1) * (b - a) / (2 * n)
 
 
+@pytest.fixture
+def exact_only(monkeypatch):
+    """No float filter: every line is counted by the integer path."""
+    monkeypatch.setattr(_AxisLines, "filter", None)
+
+
+@pytest.mark.usefixtures("exact_only")
 class TestIntegerLinePath:
     """The integer line loop against the Fraction reference, line by line."""
 
@@ -370,10 +321,10 @@ class TestIntegerLinePath:
             assert list(_line_counts(p, box, k, scheme, 0, n_points)) == expected
             finite = [c for c in expected if c is not None]
             totals = (sum(finite), n_points - len(finite))
-            assert _count_range((p, box, k, scheme, 0, n_points)) == totals
+            assert _count_range(p, box, k, scheme, 0, n_points) == totals
             middle = n_points // 3
-            head = _count_range((p, box, k, scheme, 0, middle))
-            tail = _count_range((p, box, k, scheme, middle, n_points))
+            head = _count_range(p, box, k, scheme, 0, middle)
+            tail = _count_range(p, box, k, scheme, middle, n_points)
             assert (head[0] + tail[0], head[1] + tail[1]) == totals
 
     @pytest.mark.parametrize(
@@ -439,13 +390,12 @@ ODD_BOX_4 = Box.parse("-1/3,5/7;1/2,9/4;-2,-1/5;1/9,7/3", 4)
 
 @pytest.fixture
 def batched(monkeypatch):
-    """Every chunk takes the batch, in slabs of 7 lines, so slab seams fall mid-chunk."""
-    monkeypatch.setattr(crofton, "_BATCH_LINES", 1)
+    """Slabs of 7 lines, so slab seams fall mid-range."""
     monkeypatch.setattr(crofton, "_SLAB_LINES", 7)
 
 
 def exact_line_counts(p, box, k, scheme, n_points):
-    """Per-line counts on the integer path alone, as `_line_counts` gives them for small chunks."""
+    """Per-line counts on the integer path alone, without the float filter."""
     lines = _AxisLines(p, box, k, scheme)
     counts = lines.exact_counts(lines.multipliers(0, n_points)).tolist()
     return [None if c < 0 else c for c in counts]
@@ -485,8 +435,8 @@ class TestBatchedLinePath:
                     finite = [c for c in expected if c is not None]
                     totals = (sum(finite), n_points - len(finite))
                     middle = n_points // 2 + 1
-                    head = _count_range((p, box, k, scheme, 0, middle))
-                    tail = _count_range((p, box, k, scheme, middle, n_points))
+                    head = _count_range(p, box, k, scheme, 0, middle)
+                    tail = _count_range(p, box, k, scheme, middle, n_points)
                     assert (head[0] + tail[0], head[1] + tail[1]) == totals
 
     def test_batch_matches_fraction_reference(self, batched):
@@ -500,9 +450,9 @@ class TestBatchedLinePath:
         p = parse_polynomial("x1^2*x2 - 3/2*x1*x2^3 + x3^2 - 1/5", 3)
         box = Box.cube(0, 1, 3)
         for scheme in (GridScheme(12), MonteCarloScheme(300, seed=12)):
-            monkeypatch.setattr(crofton, "_BATCH_LINES", 10**9)
-            exact = crofton_upper_estimate(p, box, scheme)
-            monkeypatch.setattr(crofton, "_BATCH_LINES", 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(_AxisLines, "filter", None)
+                exact = crofton_upper_estimate(p, box, scheme)
             monkeypatch.setattr(crofton, "_SLAB_LINES", 50)
             assert crofton_upper_estimate(p, box, scheme) == exact
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeroset import GridScheme, experiment, sharpness_experiment, sharpness_polynomial
+from zeroset import GridScheme, sharpness_experiment, sharpness_polynomial
 
 from oracles import arc_length_oracle
 
@@ -66,21 +66,3 @@ class TestExperimentRows:
             sharpness_experiment(3, [8], 1, GridScheme(4))
         # d >= 4 has no mesh, so the resolution does not matter there
         assert sharpness_experiment(4, [4], 1, GridScheme(2))[0].direct_measure is None
-
-
-class TestPoolLifetime:
-    def test_one_pool_for_every_n(self, fake_pool):
-        rows = sharpness_experiment(3, [8, 64], 8, GridScheme(4), workers=2)
-        assert fake_pool["opened"] == fake_pool["shut"] == 1
-        assert fake_pool["tasks"] == 2 * 3 * 8  # n values x axes x 4 chunks per worker
-        assert rows == sharpness_experiment(3, [8, 64], 8, GridScheme(4), workers=1)
-
-    def test_pool_shut_down_when_the_run_is_interrupted(self, fake_pool, monkeypatch):
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(experiment, "marching_squares_length", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            sharpness_experiment(2, [4, 16], 16, GridScheme(16), workers=2)
-        assert fake_pool["opened"] == fake_pool["shut"] == 1
-        assert fake_pool["tasks"] == 2 * 8  # the first n's lines ran in the pool

@@ -17,9 +17,7 @@ from zeroset import (
     UnivariatePolynomial,
     crofton_upper_estimate,
     marching_cubes_area,
-    marching_cubes_triangles,
     marching_squares_length,
-    marching_squares_segments,
     measure_d1,
     meshing,
     parse_polynomial,
@@ -166,7 +164,7 @@ class TestMarchingSquaresGolden:
         estimate = marching_squares_length(p, box, n)
         assert estimate.value.hex() == total_hex
         assert estimate.cells_with_sign_change == crossed
-        segments = marching_squares_segments(p, box, n)
+        segments = marching_squares_length(p, box, n, keep_mesh=True).mesh
         assert hashlib.sha256(segments.tobytes()).hexdigest() == digest
 
     def test_saddles_cover_both_ambiguous_cases_and_center_signs(self):
@@ -283,7 +281,7 @@ class TestMarchingCubesGolden:
         estimate = marching_cubes_area(p, box, n)
         assert estimate.value.hex() == total_hex
         assert estimate.cells_with_sign_change == crossed
-        triangles = marching_cubes_triangles(p, box, n)
+        triangles = marching_cubes_area(p, box, n, keep_mesh=True).mesh
         assert hashlib.sha256(triangles.tobytes()).hexdigest() == digest
 
     def test_face_votes_go_both_ways(self):
@@ -481,7 +479,7 @@ class TestBoundChain:
 class TestMeshOutput:
     def test_segments_shape_and_location(self):
         p = parse_polynomial("x1^2 + x2^2 - 1/4", 2)
-        segments = marching_squares_segments(p, Box.cube(-1, 1, 2), 64)
+        segments = marching_squares_length(p, Box.cube(-1, 1, 2), 64, keep_mesh=True).mesh
         assert segments.shape[1] == 4
         assert len(segments) > 0
         # endpoints stay inside the box and near the zero set
@@ -492,13 +490,13 @@ class TestMeshOutput:
 
     def test_triangles_shape(self):
         p = parse_polynomial("x1 - 1/2", 3)
-        triangles = marching_cubes_triangles(p, UNIT_CUBE, 8)
+        triangles = marching_cubes_area(p, UNIT_CUBE, 8, keep_mesh=True).mesh
         assert triangles.shape == (128, 9)  # 8*8 cells, 2 triangles each
         assert np.allclose(triangles[:, [0, 3, 6]], 0.5)
 
     def test_write_mesh_csv(self):
         p = parse_polynomial("x1 - 1/2", 2)
-        segments = marching_squares_segments(p, UNIT_SQUARE, 4)
+        segments = marching_squares_length(p, UNIT_SQUARE, 4, keep_mesh=True).mesh
         stream = io.StringIO()
         write_mesh_csv(stream, segments, 2)
         lines = stream.getvalue().strip().split("\n")

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -5,16 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from zeroset import (
-    IDENTICALLY_ZERO,
-    TrivialPolynomialError,
-    UnivariatePolynomial,
-    count_real_roots,
-    isolate_roots,
-    sturm_chain,
-)
+from zeroset import IDENTICALLY_ZERO, UnivariatePolynomial, count_real_roots
 
-from zeroset.sturm import _int_chain, _sign_at, _variations_at, count_int_roots
+from zeroset.sturm import _int_chain, _variations_at, count_int_roots
 
 from oracles import bisection_root_count, expand_factors, planted_univariate
 
@@ -25,44 +19,36 @@ def _ratio(x, k=1) -> tuple[int, int]:
     return x.numerator * k, x.denominator * k
 
 
+def _ints(u: UnivariatePolynomial) -> list[int]:
+    """Coefficients of an integer-coefficient polynomial as a list of ints."""
+    return [int(v) for v in u.coefficients]
+
+
 class TestSturmChain:
     def test_linear(self):
-        chain = sturm_chain(UnivariatePolynomial((Fraction(-1, 2), 1)))
-        assert [c.coefficients for c in chain.polys] == [
-            (Fraction(-1, 2), Fraction(1)),
-            (Fraction(1),),
-        ]
+        assert _int_chain([-1, 2]) == [[-1, 2], [1]]
 
     def test_square_deflated(self):
-        u = UnivariatePolynomial.from_roots([Fraction(1, 2)], [2])
-        chain = sturm_chain(u)
-        assert [c.coefficients for c in chain.polys] == [
-            (Fraction(-1, 2), Fraction(1)),
-            (Fraction(1),),
-        ]
+        # 4 (t - 1/2)^2: the chain is that of its square-free part 2t - 1
+        assert _int_chain([1, -4, 4]) == [[-1, 2], [1]]
 
     def test_chain_invariants(self):
         rng = random.Random(42)
         for _ in range(50):
             u, _ = planted_univariate(rng, max_degree=8)
-            chain = sturm_chain(u).polys
-            degrees = [len(c.coefficients) - 1 for c in chain]
-            assert degrees == sorted(degrees, reverse=True)
+            chain = _int_chain(_ints(u))
+            degrees = [len(c) - 1 for c in chain]
             assert all(a > b for a, b in zip(degrees, degrees[1:]))
             last = chain[-1]
-            assert len(chain) == 1 or (len(last.coefficients) == 1 and not last.is_zero)
-
-    def test_zero_rejected(self):
-        with pytest.raises(TrivialPolynomialError):
-            sturm_chain(UnivariatePolynomial(()))
+            assert len(chain) == 1 or (len(last) == 1 and last[0] != 0)
 
     def test_variation_count_matches_bisection_oracle(self):
         # random degree-8 polynomials with simple planted roots
         rng = random.Random(4242)
         for _ in range(100):
             u, roots = planted_univariate(rng, max_degree=8, max_multiplicity=1)
-            chain = sturm_chain(u)
-            half_open = chain.variations_at(Fraction(-10)) - chain.variations_at(Fraction(10))
+            chain = _int_chain(_ints(u))
+            half_open = _variations_at(chain, (-10, 1)) - _variations_at(chain, (10, 1))
             assert half_open == sum(1 for r in roots if -10 < r <= 10)
             closed = count_real_roots(u, -10, 10).count
             assert closed == bisection_root_count(u, -10, 10, depth=400)
@@ -147,31 +133,38 @@ class TestCountIntRoots:
             c = [int(v) * scale for v in u.coefficients] + [0] * rng.randint(0, 2)
             assert count_int_roots(c, ratio(lo), ratio(hi)) == count_real_roots(u, lo, hi).count
 
-    def test_quadratic_closed_form_matches_chain(self):
+    def test_quadratics_match_sympy_real_roots(self):
         # Every a != 0, b, c in [-4, 4]; the endpoints are a fixed set plus the
         # polynomial's own rational roots and vertex, given unreduced, with
-        # trailing zero padding on some lines.
+        # trailing zero padding on some lines.  sympy's exact real roots are
+        # the oracle, each placed among the endpoints by exact comparisons.
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
         fixed = {Fraction(v) for v in (-3, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, Fraction(5, 2))}
         hits = {"root": 0, "double root": 0, "vertex": 0}
         for a, b, c in itertools.product(range(-4, 5), repeat=3):
             if a == 0:
                 continue
+            roots = set(sympy.real_roots(sympy.Poly([a, b, c], t)))  # distinct
+            rational = {Fraction(int(r.p), int(r.q)) for r in roots if r.is_Rational}
             vertex = Fraction(-b, 2 * a)
-            roots = {
-                Fraction(n, d)
-                for n in range(-20, 21)
-                for d in range(1, 5)
-                if a * n * n + b * n * d + c * d * d == 0
-            }
-            points = sorted(fixed | roots | {vertex})
-            chain = _int_chain([c, b, a])
+            points = sorted(fixed | rational | {vertex})
+            exact = [sympy.Rational(x.numerator, x.denominator) for x in points]
+            # (points below r, points at or below r): r is in [points[i], points[j]]
+            # iff right > i and left <= j.  An irrational root equals no point.
+            ranks = []
+            for r in roots:
+                if r.is_Rational:
+                    x = Fraction(int(r.p), int(r.q))
+                    ranks.append((bisect.bisect_left(points, x), bisect.bisect_right(points, x)))
+                else:
+                    ranks.append((bisect.bisect_left(exact, r),) * 2)
             for (i, lo), (j, hi) in itertools.combinations(enumerate(points), 2):
                 lo_r, hi_r = _ratio(lo, 1 + (i + j) % 3), _ratio(hi, 1 + j % 2)
-                expected = _variations_at(chain, lo_r) - _variations_at(chain, hi_r)
-                expected += _sign_at(chain[0], lo_r) == 0
+                expected = sum(1 for left, right in ranks if right > i and left <= j)
                 padded = [c, b, a] + [0] * ((i + j) % 2)
                 assert count_int_roots(padded, lo_r, hi_r) == expected, (a, b, c, lo, hi)
-                hits["root"] += lo in roots or hi in roots
+                hits["root"] += lo in rational or hi in rational
                 hits["double root"] += b * b == 4 * a * c and vertex in (lo, hi)
                 hits["vertex"] += vertex in (lo, hi)
         assert min(hits.values()) > 0, hits
@@ -242,44 +235,3 @@ class TestCountIntRootsProperties:
         mirrored = [v if i % 2 == 0 else -v for i, v in enumerate(c)]
         reflected = count_int_roots(mirrored, _ratio(-hi), _ratio(-lo))
         assert reflected == count_int_roots(c, _ratio(lo), _ratio(hi))
-
-
-class TestIsolateRoots:
-    def test_quadratic(self):
-        u = UnivariatePolynomial((Fraction(-1, 4), 0, 1))
-        (interval,) = isolate_roots(u, 0, 1)
-        assert interval.lo <= Fraction(1, 2) <= interval.hi
-
-    def test_cubic(self):
-        u = UnivariatePolynomial.from_roots([-1, 0, 1])
-        intervals = isolate_roots(u, -2, 2)
-        assert len(intervals) == 3
-        for interval, root in zip(intervals, (-1, 0, 1)):
-            assert interval.lo <= root <= interval.hi
-
-    def test_zero_rejected(self):
-        with pytest.raises(TrivialPolynomialError):
-            isolate_roots(UnivariatePolynomial(()), 0, 1)
-
-    def test_planted_roots_isolated(self):
-        rng = random.Random(99)
-        for _ in range(100):
-            u, roots = planted_univariate(rng, max_degree=10)
-            lo, hi = Fraction(-50), Fraction(50)
-            intervals = isolate_roots(u, lo, hi)
-            inside = [r for r in roots if lo <= r <= hi]
-            assert len(intervals) == len(inside)
-            assert len(intervals) == count_real_roots(u, lo, hi).count
-            for interval, root in zip(intervals, inside):
-                assert interval.lo <= root <= interval.hi
-                if interval.exact is not None:
-                    assert interval.exact == root
-            # pairwise disjoint, in increasing order
-            for a, b in zip(intervals, intervals[1:]):
-                assert a.hi < b.lo
-
-    def test_exact_endpoint_root(self):
-        u = UnivariatePolynomial.from_roots([0, Fraction(2, 3)])
-        intervals = isolate_roots(u, 0, 1)
-        assert len(intervals) == 2
-        assert intervals[0].exact == 0
