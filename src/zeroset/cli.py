@@ -17,8 +17,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass, fields
 
 from .crofton import (
     DEFAULT_CONFIDENCE,
@@ -31,7 +30,7 @@ from .crofton import (
     crofton_upper_estimate,
     theorem_bound,
 )
-from .experiment import sharpness_experiment
+from .experiment import ExperimentRow, sharpness_experiment
 from .meshing import (
     MeasureEstimate,
     check_resolution,
@@ -69,7 +68,7 @@ def _parse_scheme(text: str, seed: int) -> Scheme:
     if kind == "grid" and value.isdigit():
         return GridScheme(int(value))
     if kind == "mc" and value.isdigit():
-        return MonteCarloScheme(int(value), seed=seed, confidence=DEFAULT_CONFIDENCE)
+        return MonteCarloScheme(int(value), seed=seed)
     raise ValueError(f"bad scheme {text!r}; expected grid:N or mc:SAMPLES")
 
 
@@ -80,7 +79,7 @@ def _default_scheme(dimension: int, seed: int) -> Scheme:
         return GridScheme(256)
     if dimension == 3:
         return GridScheme(64)
-    return MonteCarloScheme(100_000, seed=seed, confidence=DEFAULT_CONFIDENCE)
+    return MonteCarloScheme(100_000, seed=seed)
 
 
 def _default_resolution(dimension: int) -> int:
@@ -156,6 +155,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if resolution < 1:
         raise ValueError("--resolution must be positive")
     dump_mesh = getattr(args, "dump_mesh", None)
+    if dump_mesh and dimension not in (2, 3):
+        raise ValueError("mesh dumps exist only for dimensions 2 and 3")
     if dimension in (2, 3) and (args.command in ("measure", "report", "sharpness") or dump_mesh):
         check_resolution(resolution)  # before any estimate runs
     n_values = None
@@ -189,10 +190,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _scheme_dict(scheme: Scheme) -> dict:
     if isinstance(scheme, GridScheme):
         return {"kind": "grid", "points_per_axis": scheme.points_per_axis}
@@ -200,7 +197,7 @@ def _scheme_dict(scheme: Scheme) -> dict:
         "kind": "monte_carlo",
         "samples": scheme.samples,
         "seed": scheme.seed,
-        "confidence": scheme.confidence,
+        "confidence": DEFAULT_CONFIDENCE,
     }
 
 
@@ -261,13 +258,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _flatten_for_csv(results: dict) -> tuple[list[str], list[list]]:
     if "sharpness" in results:
-        header = ["n", "dimension", "crofton_total", "direct_measure", "theorem_bound", "gap"]
-        rows = [
-            [r["n"], r["dimension"], r["crofton_total"], r["direct_measure"],
-             r["theorem_bound"], r["gap"]]
-            for r in results["sharpness"]
-        ]
-        return header, rows
+        header = [f.name for f in fields(ExperimentRow)]
+        return header, [[r[name] for name in header] for r in results["sharpness"]]
     header: list[str] = []
     row: list = []
     if "theorem_bound" in results:
@@ -309,8 +301,6 @@ def _measure_estimate(
 
 def _dump_mesh(p: Polynomial, config: RunConfig, estimate: MeasureEstimate | None) -> None:
     """Write the mesh kept by `estimate`, or mesh now when the run measured nothing."""
-    if config.dimension not in (2, 3):
-        raise ValueError("mesh dumps exist only for dimensions 2 and 3")
     if estimate is None:
         estimate = _measure_estimate(p, config, keep_mesh=True)
     with open(config.dump_mesh, "w") as stream:
@@ -323,24 +313,14 @@ def _execute(config: RunConfig) -> dict:
         rows = sharpness_experiment(
             config.dimension, config.n_values, config.resolution, config.scheme
         )
-        results["sharpness"] = [
-            {
-                "n": r.n,
-                "dimension": r.dimension,
-                "crofton_total": r.crofton_total,
-                "direct_measure": r.direct_measure,
-                "theorem_bound": r.theorem_bound,
-                "gap": r.gap,
-            }
-            for r in rows
-        ]
+        results["sharpness"] = [asdict(r) for r in rows]
         return results
 
     p = parse_polynomial(config.polynomial, config.dimension)
     if config.command == "bound" or (
         config.command in ("crofton", "report") and config.box.is_cube
     ):
-        results["theorem_bound"] = _rational(theorem_bound(p, config.box))
+        results["theorem_bound"] = str(theorem_bound(p, config.box))
     if config.command in ("crofton", "report"):
         crofton = crofton_upper_estimate(p, config.box, config.scheme)
         results["crofton"] = _crofton_dict(crofton)

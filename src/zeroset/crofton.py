@@ -146,13 +146,10 @@ class MonteCarloScheme:
 
     samples: int
     seed: int = DEFAULT_SEED
-    confidence: float = DEFAULT_CONFIDENCE
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
 
 
 Scheme = GridScheme | MonteCarloScheme
@@ -164,8 +161,8 @@ class AxisEstimate:
 
     For grid schemes `error_halfwidth` is a spacing diagnostic (largest base
     cell width), not a certified bound; for Monte Carlo it is a Hoeffding
-    half-width at the requested confidence.  `exact` carries the estimate as
-    an exact rational.
+    half-width at confidence DEFAULT_CONFIDENCE.  `exact` carries the
+    estimate as an exact rational.
     """
 
     axis: int
@@ -524,7 +521,7 @@ def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> Ax
     # Hoeffding: the integrand is integer-valued in [0, deg_{x_k} p].
     spread = p.degree_in(k)
     halfwidth = float(volume) * spread * math.sqrt(
-        math.log(2.0 / (1.0 - scheme.confidence)) / (2.0 * n_points)
+        math.log(2.0 / (1.0 - DEFAULT_CONFIDENCE)) / (2.0 * n_points)
     )
     return AxisEstimate(
         axis=k,

@@ -1,6 +1,6 @@
 """Direct measure estimates for a polynomial zero set: exact root counts in
-d=1, polyline length via marching squares in d=2, and triangulated surface
-area via marching cubes in d=3.
+d=1, and one table-driven marching kernel for d=2 and d=3, which sums
+segment lengths (marching squares) or triangle areas (marching cubes).
 
 Vertex values are computed in double precision from the exact polynomial.
 An exact zero at a grid vertex counts as positive, so the sign predicate is
@@ -16,10 +16,13 @@ both meshes cost in proportion to the crossed cells.
 Determinism: segment lengths and triangle areas are derived from local cell
 coordinates and reduced with math.fsum (exactly rounded, order-independent),
 so repeated runs and symmetric inputs reproduce bit-identical totals.
-Ambiguous marching-squares cells are resolved by the sign of the polynomial
-at the cell center; marching-cubes cells with ambiguous faces switch to the
-complementary triangulation when the majority of their ambiguous face
-centers sample negative.
+
+Ambiguity: a square is the bottom face of a cube, and both follow one rule.
+A cell with ambiguous faces (diagonally alternating corner signs) samples
+the polynomial at those face centers, where a square's one face is the
+square itself.  When most centers are negative, the cell takes the table
+entry of the complementary case, 15 - c for squares and 255 - c for cubes,
+which crosses the same edges.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._mc_tables import TRIANGLES
+from ._mc_tables import SEGMENTS, TRIANGLES
 from .crofton import Box, line_count
 from .polynomial import Polynomial, TrivialPolynomialError
 
@@ -194,132 +197,20 @@ def measure_d1(p: Polynomial, box: Box) -> MeasureEstimate:
 
 
 # ---------------------------------------------------------------------------
-# d = 2: marching squares
+# d = 2 and 3: marching squares and marching cubes
 #
-# Cell corners (local coordinates):  c3 (0,1) --e2-- c2 (1,1)
-#                                     |                 |
-#                                    e3                e1
-#                                     |                 |
-#                                    c0 (0,0) --e0-- c1 (1,0)
+# Cell corners and edges in local coordinates.  A square is the cube's
+# bottom face: its corners and edges are the cube's first four.
+#
+#   c3 (0,1) --e2-- c2 (1,1)
+#    |                |
+#   e3               e1
+#    |                |
+#   c0 (0,0) --e0-- c1 (1,0)
 #
 # Case bit i is set when corner i is negative.  Crossing offsets are always
 # computed from the lexicographically smaller corner of the edge, so mirrored
 # cells produce bit-identical offsets.
-# ---------------------------------------------------------------------------
-
-_SEGMENTS_2D = {
-    1: [(3, 0)],
-    2: [(0, 1)],
-    3: [(3, 1)],
-    4: [(1, 2)],
-    6: [(0, 2)],
-    7: [(3, 2)],
-    8: [(2, 3)],
-    9: [(0, 2)],
-    11: [(1, 2)],
-    12: [(1, 3)],
-    13: [(0, 1)],
-    14: [(3, 0)],
-}
-# Ambiguous diagonal cases, keyed by the sign at the cell center.
-_SEGMENTS_2D_AMBIGUOUS = {
-    (5, True): [(0, 1), (2, 3)],  # center negative: positive corners are cut off
-    (5, False): [(3, 0), (1, 2)],
-    (10, True): [(3, 0), (1, 2)],
-    (10, False): [(0, 1), (2, 3)],
-}
-
-
-def _edge_point_2d(edge: int, v0, v1, v2, v3) -> tuple[np.ndarray, np.ndarray]:
-    """Local (u, v) of the crossing on the given edge of each cell."""
-    if edge == 0:
-        t = v0 / (v0 - v1)
-        return t, np.zeros_like(t)
-    if edge == 1:
-        t = v1 / (v1 - v2)
-        return np.ones_like(t), t
-    if edge == 2:
-        t = v3 / (v3 - v2)
-        return t, np.ones_like(t)
-    t = v0 / (v0 - v3)
-    return np.zeros_like(t), t
-
-
-# Corner offsets in the order c0..c3 above.
-_SQUARE_CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
-
-
-def _march_squares(p: Polynomial, box: Box, n: int, want_segments: bool):
-    nodes = [_node_array(a, b, n) for a, b in box.intervals]
-    # At most n * n cells cross: one batch holds them all.
-    batches = _crossed_cells(p, nodes, _SQUARE_CORNERS, n * n)
-    cells, corner_values = next(batches, (np.empty(0, dtype=np.intp), np.empty((4, 0))))
-    (ax, bx), (ay, by) = box.intervals
-    hx, hy = float((bx - ax) / n), float((by - ay) / n)
-    # Each case's cells keep the row-major order of the crossed cells.
-    ci, cj = np.divmod(cells, n)
-    crossed = len(ci)
-    corners = tuple(corner_values)
-    cases = sum((v < 0.0).astype(np.uint8) << bit for bit, v in enumerate(corners))
-
-    lengths: list[np.ndarray] = []
-    segments: list[np.ndarray] = []
-
-    def emit(sel, pairs):
-        v0, v1, v2, v3 = (v[sel] for v in corners)
-        for ea, eb in pairs:
-            ua, va = _edge_point_2d(ea, v0, v1, v2, v3)
-            ub, vb = _edge_point_2d(eb, v0, v1, v2, v3)
-            dx = (ub - ua) * hx
-            dy = (vb - va) * hy
-            lengths.append(np.sqrt(dx * dx + dy * dy))
-            if want_segments:
-                x0, y0 = nodes[0][ci[sel]], nodes[1][cj[sel]]
-                segments.append(
-                    np.column_stack([x0 + ua * hx, y0 + va * hy, x0 + ub * hx, y0 + vb * hy])
-                )
-
-    for c in np.unique(cases).tolist():
-        sel = np.nonzero(cases == c)[0]
-        if c in (5, 10):
-            centers = _values_at(
-                p, (nodes[0][ci[sel]] + 0.5 * hx, nodes[1][cj[sel]] + 0.5 * hy)
-            )
-            for center_negative in (True, False):
-                sub = centers < 0.0 if center_negative else ~(centers < 0.0)
-                if sub.any():
-                    emit(sel[sub], _SEGMENTS_2D_AMBIGUOUS[(c, center_negative)])
-        else:
-            emit(sel, _SEGMENTS_2D[c])
-
-    total = math.fsum(np.concatenate(lengths).tolist()) if lengths else 0.0
-    seg_array = (
-        np.concatenate(segments) if segments else np.empty((0, 4))
-    ) if want_segments else None
-    return total, crossed, seg_array
-
-
-def marching_squares_length(
-    p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False
-) -> MeasureEstimate:
-    """Total polyline length of the zero level set on an N-by-N cell grid.
-
-    With `keep_mesh`, the segments of the same pass come back as `mesh`, one
-    row (x1, y1, x2, y2) per segment in global coordinates.
-    """
-    _check_input(p, box, 2, resolution)
-    total, crossed, segments = _march_squares(p, box, resolution, want_segments=keep_mesh)
-    return MeasureEstimate(
-        value=total,
-        method=MARCHING_SQUARES,
-        resolution=resolution,
-        cells_with_sign_change=crossed,
-        mesh=segments,
-    )
-
-
-# ---------------------------------------------------------------------------
-# d = 3: marching cubes
 # ---------------------------------------------------------------------------
 
 _CORNER_OFFSETS = np.array(
@@ -333,102 +224,150 @@ _EDGE_A, _EDGE_B = np.array([
 # a crossing at fraction t of the edge lies at start + t * step.
 _EDGE_START = _CORNER_OFFSETS[_EDGE_A].T.astype(float)
 _EDGE_STEP = _CORNER_OFFSETS[_EDGE_B].T - _EDGE_START
-# TRIANGLES as arrays: triangle count per case, and edge triples (zero-padded).
-_TRIANGLE_COUNTS = np.array([len(t) for t in TRIANGLES])
-_TRIANGLE_EDGES = np.array(
-    [list(t) + [(0, 0, 0)] * (_TRIANGLE_COUNTS.max() - len(t)) for t in TRIANGLES],
-    dtype=np.uint8,
-)
-# Crossed cells are triangulated in batches of about this many cells, so the
-# per-triangle arrays stay small.
+
+
+def _primitive_table(table: tuple, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A case table as arrays: primitive count per case, and edge tuples (zero-padded)."""
+    counts = np.array([len(t) for t in table])
+    edges = np.array(
+        [list(t) + [(0,) * d] * (counts.max() - len(t)) for t in table], dtype=np.uint8
+    )
+    return counts, edges
+
+
+_PRIMITIVES = {2: _primitive_table(SEGMENTS, 2), 3: _primitive_table(TRIANGLES, 3)}
+# The faces whose centers vote on ambiguous cells: corner indices in cyclic
+# order plus the face-center local offset.
+_FACES = {
+    2: [((0, 1, 2, 3), (0.5, 0.5))],
+    3: [
+        ((0, 1, 2, 3), (0.5, 0.5, 0.0)),
+        ((4, 5, 6, 7), (0.5, 0.5, 1.0)),
+        ((0, 1, 5, 4), (0.5, 0.0, 0.5)),
+        ((3, 2, 6, 7), (0.5, 1.0, 0.5)),
+        ((0, 3, 7, 4), (0.0, 0.5, 0.5)),
+        ((1, 2, 6, 5), (1.0, 0.5, 0.5)),
+    ],
+}
+# Crossed cells are meshed in batches of about this many cells, so the
+# per-primitive arrays stay small.
 _BATCH_CELLS = 2048
-# Faces: corner indices in cyclic order plus the face-center local offset.
-_FACES = [
-    ((0, 1, 2, 3), (0.5, 0.5, 0.0)),
-    ((4, 5, 6, 7), (0.5, 0.5, 1.0)),
-    ((0, 1, 5, 4), (0.5, 0.0, 0.5)),
-    ((3, 2, 6, 7), (0.5, 1.0, 0.5)),
-    ((0, 3, 7, 4), (0.0, 0.5, 0.5)),
-    ((1, 2, 6, 5), (1.0, 0.5, 0.5)),
-]
 
 
-def _march_cubes(p: Polynomial, box: Box, n: int, want_triangles: bool):
+def _march(p: Polynomial, box: Box, n: int, keep: bool):
+    """Marching squares (d=2) or cubes (d=3) on the n**d cell grid of `box`.
+
+    Returns the fsum of the segment lengths or triangle areas, the number of
+    crossed cells, and with `keep` the primitives, one row of d vertices
+    (d coordinates each) per segment or triangle.
+    """
+    d = box.dimension
+    counts_by_case, edges_by_case = _PRIMITIVES[d]
     nodes = [_node_array(a, b, n) for a, b in box.intervals]
     h = [float((b - a) / n) for a, b in box.intervals]
     crossed = 0
-    areas: list[np.ndarray] = []
-    triangles: list[np.ndarray] = []
+    measures: list[np.ndarray] = []
+    primitives: list[np.ndarray] = []
     order_keys: list[np.ndarray] = []
-    batches = _crossed_cells(p, nodes, _CORNER_OFFSETS, _BATCH_CELLS)
+    batches = _crossed_cells(p, nodes, _CORNER_OFFSETS[: 2**d, :d], _BATCH_CELLS)
     for cells, corner_values in batches:
         m = len(cells)
         crossed += m
-        ci, rest = np.divmod(cells, n * n)
-        cj, ck = np.divmod(rest, n)
-        cell_origin = [nodes[0][ci], nodes[1][cj], nodes[2][ck]]
+        cell_origin = [x[i] for x, i in zip(nodes, np.unravel_index(cells, (n,) * d))]
         corner_neg = corner_values < 0.0
         cases = sum(neg.astype(np.uint8) << bit for bit, neg in enumerate(corner_neg))
 
         # Face-center rule: a cell with ambiguous faces (diagonally alternating
-        # corner signs) flips to the complementary triangulation, which has the
-        # same crossed edges, when most of those face centers sample negative.
-        votes_neg = np.zeros(m, dtype=np.int8)
-        votes_pos = np.zeros(m, dtype=np.int8)
-        for (a, b, c2, d2), center in _FACES:
+        # corner signs) takes the table entry of the complementary case, which
+        # has the same crossed edges, when most of those face centers sample
+        # negative.  A square's one face is the square itself.
+        votes = np.zeros(m, dtype=np.intp)  # negative minus positive centers
+        for (f0, f1, f2, f3), center in _FACES[d]:
             ambiguous = (
-                (corner_neg[a] == corner_neg[c2])
-                & (corner_neg[b] == corner_neg[d2])
-                & (corner_neg[a] != corner_neg[b])
+                (corner_neg[f0] == corner_neg[f2])
+                & (corner_neg[f1] == corner_neg[f3])
+                & (corner_neg[f0] != corner_neg[f1])
             )
             if not ambiguous.any():
                 continue
             sel = np.nonzero(ambiguous)[0]
-            coords = tuple(cell_origin[j][sel] + center[j] * h[j] for j in range(3))
-            center_negative = _values_at(p, coords) < 0.0
-            votes_neg[sel] += center_negative
-            votes_pos[sel] += ~center_negative
-        effective = np.where(votes_neg > votes_pos, 255 - cases, cases)
+            coords = tuple(cell_origin[j][sel] + center[j] * h[j] for j in range(d))
+            votes[sel] += np.where(_values_at(p, coords) < 0.0, 1, -1)
+        effective = np.where(votes > 0, 2 ** 2**d - 1 - cases, cases)
 
-        # One row per triangle: cell by cell, each cell's triangles in table order.
-        counts = _TRIANGLE_COUNTS[effective]
+        # One row per primitive: cell by cell, each cell's primitives in table order.
+        counts = counts_by_case[effective]
         cell = np.repeat(np.arange(m), counts)
-        tri = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
+        index = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
         case = effective[cell]
-        edges = _TRIANGLE_EDGES[case, tri]
+        edges = edges_by_case[case, index]
 
         # One array per axis, with the float operations, in order, of
-        # start + t * step, (p2 - p1) * h, np.cross and a row sum on (T, 3) rows.
+        # start + t * step, (q - p1) * h and the length or cross-product norm.
         flat = np.ascontiguousarray(corner_values).reshape(-1)  # corner-major, m per corner
         points = []
-        for k in range(3):
+        for k in range(d):
             edge = edges[:, k]
             va = flat[_EDGE_A[edge] * m + cell]
             vb = flat[_EDGE_B[edge] * m + cell]
             t = va / (va - vb)
-            points.append([_EDGE_START[j][edge] + t * _EDGE_STEP[j][edge] for j in range(3)])
-        p1, p2, p3 = points
-        a0, a1, a2 = ((p2[j] - p1[j]) * h[j] for j in range(3))
-        b0, b1, b2 = ((p3[j] - p1[j]) * h[j] for j in range(3))
-        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-        areas.append(0.5 * np.sqrt((c0 * c0 + c1 * c1) + c2 * c2))
-        if want_triangles:
-            origin = [cell_origin[j][cell] for j in range(3)]
-            triangles.append(np.column_stack(
-                [origin[j] + q[j] * h[j] for q in (p1, p2, p3) for j in range(3)]
+            points.append([_EDGE_START[j][edge] + t * _EDGE_STEP[j][edge] for j in range(d)])
+        sides = [[(q[j] - points[0][j]) * h[j] for j in range(d)] for q in points[1:]]
+        if d == 2:
+            ((dx, dy),) = sides
+            measures.append(np.sqrt(dx * dx + dy * dy))
+        else:
+            (a0, a1, a2), (b0, b1, b2) = sides
+            c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+            measures.append(0.5 * np.sqrt((c0 * c0 + c1 * c1) + c2 * c2))
+        if keep:
+            origin = [x[cell] for x in cell_origin]
+            primitives.append(np.column_stack(
+                [origin[j] + q[j] * h[j] for q in points for j in range(d)]
             ))
-            order_keys.append(case.astype(np.intp) * _TRIANGLE_EDGES.shape[1] + tri)
+            # Dump order, cells row-major within each key: squares by
+            # (case, flipped cells first, segment), cubes by (effective
+            # case, triangle).
+            width = edges_by_case.shape[1]
+            if d == 2:
+                own = cases[cell].astype(np.intp)
+                order_keys.append((2 * own + (case == own)) * width + index)
+            else:
+                order_keys.append(case.astype(np.intp) * width + index)
 
-    total = math.fsum(itertools.chain.from_iterable(a.tolist() for a in areas))
-    tri_array = None
-    if want_triangles:
-        # Triangles come case by case (ascending), then triangle by triangle
-        # of the case's table, then cell by cell in row-major order.
-        tri_array = np.empty((0, 9))
-        if triangles:
+    total = math.fsum(itertools.chain.from_iterable(a.tolist() for a in measures))
+    mesh = None
+    if keep:
+        mesh = np.empty((0, d * d))
+        if primitives:
             order = np.argsort(np.concatenate(order_keys), kind="stable")
-            tri_array = np.concatenate(triangles)[order]
-    return total, crossed, tri_array
+            mesh = np.concatenate(primitives)[order]
+    return total, crossed, mesh
+
+
+def _mesh_estimate(
+    p: Polynomial, box: Box, d: int, method: str, resolution: int, keep_mesh: bool
+) -> MeasureEstimate:
+    _check_input(p, box, d, resolution)
+    total, crossed, mesh = _march(p, box, resolution, keep_mesh)
+    return MeasureEstimate(
+        value=total,
+        method=method,
+        resolution=resolution,
+        cells_with_sign_change=crossed,
+        mesh=mesh,
+    )
+
+
+def marching_squares_length(
+    p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False
+) -> MeasureEstimate:
+    """Total polyline length of the zero level set on an N-by-N cell grid.
+
+    With `keep_mesh`, the segments of the same pass come back as `mesh`, one
+    row (x1, y1, x2, y2) per segment in global coordinates.
+    """
+    return _mesh_estimate(p, box, 2, MARCHING_SQUARES, resolution, keep_mesh)
 
 
 def marching_cubes_area(
@@ -439,25 +378,15 @@ def marching_cubes_area(
     With `keep_mesh`, the triangles of the same pass come back as `mesh`, one
     row (x1, y1, z1, x2, y2, z2, x3, y3, z3) per triangle.
     """
-    _check_input(p, box, 3, resolution)
-    total, crossed, triangles = _march_cubes(p, box, resolution, want_triangles=keep_mesh)
-    return MeasureEstimate(
-        value=total,
-        method=MARCHING_CUBES,
-        resolution=resolution,
-        cells_with_sign_change=crossed,
-        mesh=triangles,
-    )
+    return _mesh_estimate(p, box, 3, MARCHING_CUBES, resolution, keep_mesh)
 
 
 def write_mesh_csv(stream: TextIO, primitives: np.ndarray, dimension: int) -> None:
     """Dump extracted primitives (one per row) for external plotting."""
-    if dimension == 2:
-        header = "x1,y1,x2,y2"
-    elif dimension == 3:
-        header = "x1,y1,z1,x2,y2,z2,x3,y3,z3"
-    else:
+    if dimension not in (2, 3):
         raise ValueError("mesh dumps exist only for dimensions 2 and 3")
-    stream.write(header + "\n")
+    # Each row holds d vertices of d coordinates: x1,y1,x2,y2 or x1,y1,z1,...,z3.
+    axes = "xyz"[:dimension]
+    stream.write(",".join(f"{a}{i}" for i in range(1, dimension + 1) for a in axes) + "\n")
     for row in primitives:
         stream.write(",".join(repr(float(v)) for v in row) + "\n")

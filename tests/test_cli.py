@@ -82,13 +82,16 @@ class TestExitCodes:
             ["sharpness", "--dim", "2", "--n-list", "4"],
             ["sharpness", "--dim", "3", "--n-list", "8"],
             ["crofton", "--poly", "x1*x2 - 1/4", "--dim", "2", "--dump-mesh", "unused.csv"],
+            # No mesh exists outside d = 2, 3, whatever the resolution.
+            ["crofton", "--poly", "x1*x2*x3*x4 - 1/2", "--dim", "4", "--dump-mesh", "unused.csv"],
+            ["report", "--poly", "x1^2 - 1/4", "--dim", "1", "--dump-mesh", "unused.csv"],
         ],
         ids=["measure-d2", "measure-d3", "report-d2", "report-d3", "sharpness-d2",
-             "sharpness-d3", "crofton-dump-mesh"],
+             "sharpness-d3", "crofton-dump-mesh", "crofton-d4-dump-mesh", "report-d1-dump-mesh"],
     )
     def test_mesh_resolution_1_is_2_before_any_work(self, capsys, monkeypatch, argv):
         def no_work(*args, **kwargs):
-            raise AssertionError("an estimate ran before the resolution was checked")
+            raise AssertionError("an estimate ran before the input was checked")
 
         for name in ("crofton_upper_estimate", "sharpness_experiment", "marching_squares_length",
                      "marching_cubes_area"):
@@ -353,35 +356,35 @@ class TestMeshDump:
         assert len(lines) == 9  # 8 cells crossed, one segment each
 
     @pytest.mark.parametrize(
-        "argv, march, measure",
+        "argv, measure",
         [
             (
                 ["measure", "--poly", "x1^2 + x2^2 - 1/4", "--dim", "2", "--box=-1,1",
                  "--resolution", "64"],
-                "_march_squares", marching_squares_length,
+                marching_squares_length,
             ),
             (
                 ["report", "--poly", "x1^2 + x2^2 + x3^2 - 1/4", "--dim", "3", "--box=-1,1",
                  "--scheme", "grid:4", "--resolution", "12"],
-                "_march_cubes", marching_cubes_area,
+                marching_cubes_area,
             ),
             (
                 ["crofton", "--poly", "x1*x2 - 1/4", "--dim", "2", "--scheme", "grid:4",
                  "--resolution", "16"],
-                "_march_squares", marching_squares_length,
+                marching_squares_length,
             ),
         ],
         ids=["measure-d2", "report-d3", "crofton-d2"],
     )
-    def test_meshes_once(self, capsys, monkeypatch, tmp_path, argv, march, measure):
+    def test_meshes_once(self, capsys, monkeypatch, tmp_path, argv, measure):
         calls = []
-        original = getattr(meshing, march)
+        original = meshing._march
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(meshing, march, counted)
+        monkeypatch.setattr(meshing, "_march", counted)
         path = tmp_path / "mesh.csv"
         code, out, _ = run_cli(argv + ["--dump-mesh", str(path)], capsys)
         assert code == 0

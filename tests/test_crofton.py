@@ -22,7 +22,7 @@ from zeroset.crofton import _AxisLines, _count_range, _line_counts
 from zeroset.rng import mix64, mix64_array, unit_fraction
 from zeroset.sturm import count_real_roots
 
-from oracles import random_polynomial
+from oracles import random_polynomial, scale_vars, shift, swap_axes
 
 UNIT_SQUARE = Box.cube(0, 1, 2)
 BIG_SQUARE = Box.cube(-1, 1, 2)
@@ -60,8 +60,6 @@ class TestSchemes:
             GridScheme(0)
         with pytest.raises(ValueError):
             MonteCarloScheme(0)
-        with pytest.raises(ValueError):
-            MonteCarloScheme(10, confidence=1.0)
 
     def test_counter_rng_is_pure(self):
         assert mix64(7, 3) == mix64(7, 3)
@@ -583,3 +581,63 @@ def test_filter_decides_only_exact_counts(terms, intervals, scheme, k):
     counts, deferred, exact = filter_verdicts(p, box, k, scheme, n_points)
     decided = ~deferred
     assert counts[decided].tolist() == exact[decided].tolist()
+
+
+# Exact metamorphic relations of the per-axis integrals on non-cube boxes.
+# Estimates are exact rationals, so each relation holds with ==.
+def _problems(d):
+    polys = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * d),
+        st.fractions(min_value=-8, max_value=8, max_denominator=12),
+        min_size=1,
+        max_size=5,
+    ).map(lambda terms: Polynomial(d, terms)).filter(lambda p: not p.is_trivial)
+    boxes = st.lists(_intervals, min_size=d, max_size=d).map(Box).filter(lambda b: not b.is_cube)
+    return st.tuples(polys, boxes)
+
+
+_metamorphic_problems = st.sampled_from([2, 3]).flatmap(_problems)
+_small_grids = st.builds(GridScheme, st.integers(1, 6))
+_small_schemes = st.one_of(
+    _small_grids, st.builds(MonteCarloScheme, st.integers(1, 30), st.integers(0, 2**64))
+)
+
+
+def _exact_per_axis(p, box, scheme):
+    return [e.exact for e in crofton_upper_estimate(p, box, scheme).per_axis]
+
+
+class TestMetamorphic:
+    @settings(max_examples=30)
+    @given(_metamorphic_problems, _small_grids)
+    def test_reversing_variables_reverses_axes(self, problem, scheme):
+        p, box = problem
+        reversed_box = Box(box.intervals[::-1])
+        assert _exact_per_axis(swap_axes(p), reversed_box, scheme) == (
+            _exact_per_axis(p, box, scheme)[::-1]
+        )
+
+    @settings(max_examples=30)
+    @given(_metamorphic_problems, _small_grids)
+    def test_reflecting_x1_keeps_every_axis(self, problem, scheme):
+        # q(x) = p(a1 + b1 - x1, x2, ...): negate x1, then shift it by a1 + b1.
+        p, box = problem
+        (a, b), d = box.intervals[0], box.dimension
+        negated = Polynomial(d, {e: c * (-1) ** e[0] for e, c in p.terms.items()})
+        q = shift(negated, (a + b,) + (0,) * (d - 1))
+        assert _exact_per_axis(q, box, scheme) == _exact_per_axis(p, box, scheme)
+
+    @settings(max_examples=30)
+    @given(
+        _metamorphic_problems,
+        _small_schemes,
+        st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=6),
+    )
+    def test_scaling_scales_every_axis(self, problem, scheme, s):
+        # q(x) = p(x / s) on s*B: each axis integral gains exactly s^(d-1).
+        p, box = problem
+        scaled = Box([(s * a, s * b) for a, b in box.intervals])
+        factor = s ** (box.dimension - 1)
+        assert _exact_per_axis(scale_vars(p, s), scaled, scheme) == [
+            factor * e for e in _exact_per_axis(p, box, scheme)
+        ]
