@@ -266,6 +266,21 @@ def _mobius_column(kappa: int, i: int, lo: Ratio, hi: Ratio) -> list[int]:
     return column
 
 
+def error_factor(roundings: int) -> float:
+    """A factor g such that g * S' bounds the error of a float sum of products.
+
+    When each computed term and the sum carry at most K = `roundings`
+    roundings of relative size 2**-53 between them, |computed - exact| <=
+    gamma_K * S, with S the exact sum of |terms| (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 3.1), whatever order the sum takes.
+    The computed S' is at least (1 - gamma_K) * S, so the bound is gamma_2K
+    times it; the factor 2 covers rounding the bound itself.
+    """
+    steps = 2 * roundings
+    unit = 2.0**-53
+    return 2 * steps * unit / (1 - steps * unit)
+
+
 # Lines one batch evaluates together, which caps its memory at a few MiB.
 _SLAB_LINES = 4096
 # Every integer of magnitude below 2**53 is a float64, and so is every sum or
@@ -305,15 +320,9 @@ class _Filter:
                 self.top[axis] = max(self.top.get(axis, 0), e)
         # Each computed term carries 2e + 1 roundings (the factor, e base
         # numerators, e multiplications) for a monomial of degree e, and a sum
-        # of n terms adds n - 1, so |computed - exact| <= gamma_K * S with
-        # K = 2*e_max + n and S the exact sum of |terms| (Higham, "Accuracy and
-        # Stability of Numerical Algorithms", 3.1), whatever order the sum
-        # takes.  The computed S is at least (1 - gamma_K) * S, so the bound is
-        # gamma_2K times it; the factor 2 covers rounding the bound itself.
+        # of n terms adds n - 1.
         degree = max(sum(e for _, e in mono) for mono in self.monomials)
-        steps = 2 * (2 * degree + len(self.monomials))
-        unit = 2.0**-53
-        self.gamma = 2 * steps * unit / (1 - steps * unit)
+        self.gamma = error_factor(2 * degree + len(self.monomials))
 
     def counts(self, numerators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per line (columns of the int64 `numerators`), its count and whether it is deferred.

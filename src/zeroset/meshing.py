@@ -7,11 +7,21 @@ An exact zero at a grid vertex counts as positive, so the sign predicate is
 simply ``value < 0``.  Crossings are placed by linear interpolation along
 sign-change edges; the resolution is the accuracy knob.
 
-Vertex values are evaluated one slab of cell rows at a time into reused
-buffers of about 1 MiB, term by term in the same order everywhere, so no
-whole vertex grid is built.  Each slab keeps only its crossed cells (corners
-of both signs) with their corner values, in row-major order; past that scan,
-both meshes cost in proportion to the crossed cells.
+Cells are scanned in blocks (16**2 or 8**3 cells).  A block certificate
+bounds p over each block by interval arithmetic on its terms, plus a
+float-error margin that covers the rounding of that enclosure and of every
+vertex value in the block; it trusts np.power to 4 ulp, since libm and SIMD
+pow are not exactly rounded.  Blocks whose enclosure stays on one side of
+zero by more than the margin hold no sign change and are never evaluated.
+The vertex values of the other blocks are evaluated in batches into reused
+buffers of about 512 KiB, term by term in the same order everywhere, from
+the same factors as a whole-grid evaluation, so they are bit-identical to
+it.  Only crossed cells (corners of both signs) are kept, with their corner
+values, in row-major order.  The scan thus costs in proportion to the
+blocks near the zero set, and both meshes past it in proportion to the
+crossed cells.  A grid of up to 255**2 or 39**3 cells (1 MiB of vertex
+buffers) is evaluated whole, without blocks or certificate (`_scan_whole`);
+no larger vertex grid is ever built.
 
 Determinism: segment lengths and triangle areas are derived from local cell
 coordinates and reduced with math.fsum (exactly rounded, order-independent),
@@ -27,6 +37,7 @@ which crosses the same edges.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,7 +47,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from ._mc_tables import SEGMENTS, TRIANGLES
-from .crofton import Box, line_count
+from .crofton import Box, error_factor, line_count
 from .polynomial import Polynomial, TrivialPolynomialError
 
 EXACT_COUNT = "exact_count"
@@ -93,13 +104,13 @@ def _term_factors(p: Polynomial, coords: Sequence[np.ndarray]) -> list[tuple]:
     return terms
 
 
-def _evaluate(terms: list[tuple], rows: slice, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """``0 + t0 + t1 + ...`` in term order, over `rows` of each factor's first axis.
+def _evaluate(terms: list[tuple], out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``0 + t0 + t1 + ...`` in term order, each term ``factor * last`` broadcast to `out`.
 
     The +0.0 start turns a sum of negative zeros into +0.0.
     """
     for i, (factor, last) in enumerate(terms):
-        term = factor[rows] if last is None else np.multiply(factor[rows], last, out=tmp)
+        term = factor if last is None else np.multiply(factor, last, out=tmp)
         if i:
             out += term
         else:
@@ -110,72 +121,269 @@ def _evaluate(terms: list[tuple], rows: slice, out: np.ndarray, tmp: np.ndarray)
 def _values_at(p: Polynomial, coords: Sequence[np.ndarray]) -> np.ndarray:
     """Double-precision values of p at a flat list of points (one array per axis)."""
     out = np.empty(len(coords[0]))
-    return _evaluate(_term_factors(p, coords), slice(None), out, np.empty_like(out))
+    return _evaluate(_term_factors(p, coords), out, np.empty_like(out))
 
 
-# Vertex values are evaluated one slab of cell rows (along axis 1) at a time,
-# so the two float buffers of a slab stay in cache and no whole (n+1)^d grid
-# is ever built.  Cells come out slab by slab in row-major order.
-_SLAB_BYTES = 1 << 20
+# Cells are scanned in blocks of _BLOCK[d] cells per axis, the fastest sizes
+# measured at 2048**2 and 128**3.
+_BLOCK = {2: 16, 3: 8}
+# Kept blocks are evaluated in batches that fill two float vertex buffers
+# of about this many bytes.
+_BUFFER_BYTES = 1 << 19
+# np.power is not exactly rounded in libm or SIMD loops: its results are
+# trusted to 4 ulp, which is 8 roundings of relative size 2**-53.
+_POW_ROUNDINGS = 8
 
 
-def _slab_rows(n: int, d: int) -> int:
-    """Cell rows per slab: as many as keep both vertex buffers within _SLAB_BYTES."""
-    return max(1, _SLAB_BYTES // (16 * (n + 1) ** (d - 1)) - 1)
+class _Certificate:
+    """Which blocks of the cell grid certainly hold no sign change.
+
+    For a term c * x1**e1 * ... * xd**ed and a block, interval arithmetic on
+    the block's node intervals encloses the term's values: x**e ranges
+    between its endpoint values, or over [0, max] for an even power of an
+    interval around 0.  `low` and `high` sum the terms' enclosures and S
+    their largest |values|.  A block is skipped when low > margin or high <
+    -margin, where margin = gamma * S + eta bounds the rounding of the
+    enclosure plus that of each vertex value `_evaluate` computes in the
+    block, so all those vertex values then share the enclosure's sign.  NaN
+    or inf anywhere fails both tests and keeps the block.
+    """
+
+    def __init__(self, p: Polynomial, nodes: list[np.ndarray], size: int):
+        d, n = len(nodes), len(nodes[0]) - 1
+        monomials = sorted(p.terms)
+        exponents = np.array(monomials).T[:, :, None]  # axis, term, 1
+        coefficients = np.array([float(p.terms[e]) for e in monomials])[:, None]
+        # A term's value and each endpoint product of its enclosure carry d
+        # powers and d products, and a sum of the terms adds len(monomials) - 1
+        # roundings; the margin covers two such errors.
+        self.gamma = error_factor(2 * ((_POW_ROUNDINGS + 1) * d + len(monomials)))
+        # Per axis, the nodes at block edges, and the least and greatest x**e
+        # of each term over each block: axis, least/greatest, term, block.
+        edges = np.array(nodes)[:, np.minimum(np.arange(0, n + size, size), n)]
+        blocks = edges.shape[1] - 1
+        ranges = np.empty((d, 2, len(monomials), blocks))
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = edges[:, None] ** exponents
+            np.minimum(powers[..., :-1], powers[..., 1:], out=ranges[:, 0])
+            np.maximum(powers[..., :-1], powers[..., 1:], out=ranges[:, 1])
+            around_zero = (edges[:, None, :-1] < 0) & (edges[:, None, 1:] > 0)
+            if around_zero.any():
+                even = (exponents % 2 == 0) & (exponents > 0)
+                ranges[:, 0][even & around_zero] = 0.0
+            # Each term's c * x1**e1 over each block-row, and the ranges of
+            # the other axes shaped to broadcast over (term, row, block, ...).
+            self.first = np.sort(coefficients * ranges[0], axis=0)
+            self.ranges = [
+                r.reshape((2, len(monomials)) + (1,) * j + (blocks,) + (1,) * (d - 1 - j))
+                for j, r in enumerate(ranges[1:], 1)
+            ]
+        # |c| times any product of a term's x**e factors stays below 2**reach
+        # on the grid (log2 cannot overflow); below 2**1000 nothing overflows.
+        # A power or product that underflows, even to zero, errs by less than
+        # 2**-1022, and the factors after it scale that by less than
+        # 2**reach; eta covers 2d such errors per term, in the vertex values
+        # and in the enclosure, twice over.  So a block whose S is subnormal
+        # is never skipped.
+        magnitudes = [math.log2(max(1.0, abs(x[0]), abs(x[-1]))) for x in nodes]
+        reach = max(
+            math.log2(max(1.0, abs(c))) + sum(e * m for e, m in zip(mono, magnitudes))
+            for c, mono in zip(coefficients[:, 0].tolist(), monomials)
+        )
+        self.eta = len(monomials) * d * 2.0 ** (reach - 1019) if reach < 1000 else np.inf
+
+    def keep(self, rows: slice) -> np.ndarray:
+        """Mask of the blocks in block-rows `rows` that may hold a sign change."""
+        bounds = self.first[:, :, rows]
+        bounds = bounds.reshape(bounds.shape + (1,) * len(self.ranges))  # low/high, term, block
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ranges in self.ranges:
+                products = bounds[:, None] * ranges
+                products = products.reshape((4,) + products.shape[2:])
+                bounds = np.empty((2,) + products.shape[1:])
+                products.min(axis=0, out=bounds[0])
+                products.max(axis=0, out=bounds[1])
+            margin = self.gamma * np.abs(bounds).max(axis=0).sum(axis=0) + self.eta
+            low, high = bounds.sum(axis=1)
+            return ~((low > margin) | (high < -margin))
+
+
+def _batch_blocks(d: int) -> int:
+    """Blocks per batch: as many as keep both vertex buffers within _BUFFER_BYTES."""
+    return max(1, _BUFFER_BYTES // (16 * (_BLOCK[d] + 1) ** d))
+
+
+def _scan_whole(n: int, d: int) -> bool:
+    """Whether the n**d grid is evaluated whole, without blocks or certificate.
+
+    So it is when its vertex buffers take at most twice a batch's (up to
+    255**2 or 39**3 cells): below about that size the fixed cost of the
+    certificate and of gathering blocks, some 80 NumPy calls, exceeds the
+    evaluation they can save.
+    """
+    return (n + 1) ** d * 16 <= 2 * _BUFFER_BYTES
 
 
 def _sign_change(neg: np.ndarray) -> np.ndarray:
-    """Mask of the cells of a vertex-sign grid whose corners are not all alike."""
-    some = every = neg
-    for axis in range(neg.ndim):
+    """Mask of the cells of a vertex-sign grid whose corners are not all alike.
+
+    The last axis of `neg` counts blocks, each with its own grid.
+    """
+    negatives = neg.view(np.uint8)
+    for axis in range(neg.ndim - 1):
         head = (slice(None),) * axis + (slice(None, -1),)
         tail = (slice(None),) * axis + (slice(1, None),)
-        some = some[head] | some[tail]
-        every = every[head] & every[tail]
-    return some != every
+        negatives = negatives[head] + negatives[tail]
+    # Between 1 and 2**d - 1 negative corners; 0 - 1 wraps to 255.
+    return negatives - np.uint8(1) < np.uint8(2 ** (neg.ndim - 1) - 1)
+
+
+class _BlockScan:
+    """Vertex values and crossed cells of batches of blocks of `size`**d cells.
+
+    Vertex values come from rows and columns gathered out of the term
+    factors on the whole node arrays, so they are the same float operations,
+    bit for bit, as a whole-grid evaluation.
+    """
+
+    def __init__(self, p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray, size: int):
+        d, n = len(nodes), len(nodes[0]) - 1
+        self.n, self.size = n, size
+        # Per term, the flat factor on the first d-1 axes and the last axis's
+        # power, 1.0 for exponent 0 (the product by it is exact).
+        terms = _term_factors(
+            p, [x.reshape((n + 1,) + (1,) * (d - 1 - j)) for j, x in enumerate(nodes)]
+        )
+        self.factors = np.array([factor.reshape(-1) for factor, _ in terms])
+        self.lasts = np.array(
+            [np.ones(n + 1) if last is None else last.reshape(-1) for _, last in terms]
+        )
+        # Per vertex (cell) of a block along an axis, and per block along it:
+        # the node index, clamped to the grid (whether the cell is inside it).
+        starts = np.arange(0, n, size)
+        self.vertices = np.minimum(np.arange(size + 1)[:, None] + starts, n)
+        self.inside = np.arange(size)[:, None] + starts < n
+        # Each corner's offset from a cell's first vertex, in a block's vertex grid.
+        self.shifts = np.ravel_multi_index(corners.T, (size + 1,) * d)[:, None]
+        self.buf = self.tmp = np.empty(0)
+
+    def crossings(self, index: tuple, top: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """Crossed cells among cell rows top..top+h-1 of the blocks at `index`.
+
+        `index` holds per axis the block coordinates.  Returns the cells'
+        flat indices in the n**d cell grid in ascending order, and their
+        corner values, one row per corner.  Cells past the grid, in blocks
+        that overhang it, are left out.
+        """
+        n, size, d, m = self.n, self.size, len(index), len(index[0])
+        # The block axis goes last, so that each NumPy inner loop runs over blocks.
+        shape = (h + 1,) + (size + 1,) * (d - 1) + (m,)
+        used = math.prod(shape)
+        if used > self.buf.size:
+            self.buf, self.tmp = np.empty(used), np.empty(used)
+        vertex = [self.vertices[top : top + h + 1, index[0]]]
+        vertex += [self.vertices[:, b] for b in index[1:]]
+        head = sum(
+            (v * (n + 1) ** (d - 2 - j)).reshape((1,) * j + (len(v),) + (1,) * (d - 2 - j) + (m,))
+            for j, v in enumerate(vertex[:-1])
+        )
+        tail = vertex[-1].reshape((1,) * (d - 1) + (size + 1, m))
+        terms = zip(self.factors[:, head][..., None, :], self.lasts[:, tail])
+        values = _evaluate(terms, self.buf[:used].reshape(shape), self.tmp[:used].reshape(shape))
+        mixed = _sign_change(values < 0.0)
+        if n % size:  # the last block of an axis overhangs the grid
+            for j, b in enumerate(index):
+                inside = (self.inside[top : top + h] if j == 0 else self.inside)[:, b]
+                mixed &= inside.reshape((1,) * j + (len(inside),) + (1,) * (d - 1 - j) + (m,))
+        local, k = np.divmod(np.flatnonzero(mixed), m)
+        offsets = np.unravel_index(local, mixed.shape[:-1])  # each cell's place in its block
+        cells = np.ravel_multi_index(
+            [b[k] * size + offset for b, offset in zip(index, offsets)], (n,) * d
+        ) + top * n ** (d - 1)
+        order = np.argsort(cells)
+        first = (np.ravel_multi_index(offsets, shape[:-1]) * m + k)[order]
+        return cells[order], values.reshape(-1)[first + self.shifts * m]
+
+
+def _grid_crossings(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray):
+    """The crossed cells of a small grid, evaluated whole, and their corner values."""
+    d, n = len(nodes), len(nodes[0]) - 1
+    terms = _term_factors(
+        p, [x.reshape((n + 1,) + (1,) * (d - 1 - j)) for j, x in enumerate(nodes)]
+    )
+    out = np.empty((n + 1,) * d)
+    values = _evaluate(terms, out, np.empty_like(out))
+    cells = np.flatnonzero(_sign_change(values[..., None] < 0.0))
+    first = np.ravel_multi_index(np.unravel_index(cells, (n,) * d), (n + 1,) * d)
+    shifts = np.ravel_multi_index(corners.T, (n + 1,) * d)[:, None]
+    return cells, values.reshape(-1)[first + shifts]
+
+
+def _block_crossings(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray):
+    """The crossed cells of the blocks `_Certificate` keeps, with their corner values.
+
+    Yields runs of cells that follow one another in row-major order.  Each
+    run comes from whole block-rows of kept blocks, or from some cell rows
+    of one block-row.
+    """
+    d, n = len(nodes), len(nodes[0]) - 1
+    size = _BLOCK[d]
+    scan = _BlockScan(p, nodes, corners, size)
+    certificate = _Certificate(p, nodes, size)
+    blocks = -(-n // size)
+    per_row = blocks ** (d - 1)
+    # The certificate handles block-rows in groups whose terms-by-blocks
+    # arrays hold at most _BUFFER_BYTES / 8 each.
+    group = max(1, _BUFFER_BYTES // (64 * len(scan.factors) * per_row))
+    most = _batch_blocks(d)
+    kept = np.empty(0, dtype=np.intp)  # kept blocks of certified block-rows, not yet evaluated
+    for row in range(0, blocks, group):
+        certified = np.flatnonzero(certificate.keep(slice(row, row + group))) + row * per_row
+        kept = np.concatenate([kept, certified])
+        last = row + group >= blocks
+        while len(kept) >= most or (last and len(kept)):
+            # Whole block-rows, or one block-row with more than `most` kept
+            # blocks in slices of `height` cell rows, fill the buffers.
+            stop = min(most, len(kept))
+            if stop < len(kept):
+                rows = kept // per_row
+                row_start = np.searchsorted(rows, rows[stop])
+                stop = row_start if row_start else np.searchsorted(rows, rows[0], "right")
+            height = min(size, max(1, most * (size + 1) // stop - 1))
+            index = np.unravel_index(kept[:stop], (blocks,) * d)
+            kept = kept[stop:]
+            for top in range(0, size, height):
+                yield scan.crossings(index, top, min(height, size - top))
 
 
 def _crossed_cells(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray, batch: int):
     """The cells of the grid on `nodes` whose corners disagree in sign, in row-major order.
 
     Yields (flat indices in the n**d cell grid, corner values with one row
-    per entry of `corners`, the corner offsets) in batches of `batch` cells
-    cut from consecutive slabs; the last batch may be smaller.  Yields
-    nothing when no cell crosses.
+    per entry of `corners`) in batches of `batch` cells; the last batch may
+    be smaller.  Yields nothing when no cell crosses.  A small grid (see
+    `_scan_whole`) is evaluated whole, a larger one block by block.
     """
     d, n = len(nodes), len(nodes[0]) - 1
-    terms = _term_factors(
-        p, [x.reshape((n + 1,) + (1,) * (d - 1 - j)) for j, x in enumerate(nodes)]
-    )
-    h = min(_slab_rows(n, d), n)
-    buf = np.empty((h + 1,) + (n + 1,) * (d - 1))
-    tmp = np.empty_like(buf)
-    strides = np.array([(n + 1) ** (d - 1 - j) for j in range(d)])
-    shifts = (corners @ strides)[:, None]
-    cells: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    count = 0
-    for r0 in range(0, n, h):
-        m = min(h, n - r0)
-        done = 0
-        if r0:  # vertex row r0 is the previous slab's last row
-            buf[0] = buf[h]
-            done = 1
-        _evaluate(terms, slice(r0 + done, r0 + m + 1), buf[done : m + 1], tmp[done : m + 1])
-        slab = buf[: m + 1]
-        mixed = _sign_change(slab < 0.0)
-        local = np.flatnonzero(mixed)
-        first = sum(i * s for i, s in zip(np.unravel_index(local, mixed.shape), strides))
-        cells.append(local + r0 * n ** (d - 1))
-        values.append(slab.reshape(-1)[first + shifts])
-        count += len(local)
-        last = r0 + m == n
-        if count >= batch or (last and count):
-            joined_cells, joined_values = np.concatenate(cells), np.concatenate(values, axis=1)
-            stop = count if last else count - count % batch
-            for i in range(0, stop, batch):
-                yield joined_cells[i : i + batch], joined_values[:, i : i + batch]
-            cells, values, count = [joined_cells[stop:]], [joined_values[:, stop:]], count - stop
+    if _scan_whole(n, d):
+        runs = [_grid_crossings(p, nodes, corners)]
+    else:
+        runs = _block_crossings(p, nodes, corners)
+    done_cells, done_values, count = [], [], 0
+    for cells, corner_values in runs:
+        done_cells.append(cells)
+        done_values.append(corner_values)
+        count += len(cells)
+        if count >= batch:
+            cells = np.concatenate(done_cells)
+            corner_values = np.concatenate(done_values, axis=1)
+            full = count - count % batch
+            for i in range(0, full, batch):
+                yield cells[i : i + batch], corner_values[:, i : i + batch]
+            done_cells, done_values = [cells[full:]], [corner_values[:, full:]]
+            count -= full
+    if count:
+        yield np.concatenate(done_cells), np.concatenate(done_values, axis=1)
 
 
 # ---------------------------------------------------------------------------

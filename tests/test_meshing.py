@@ -5,9 +5,11 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zeroset import (
     Box,
@@ -333,75 +335,237 @@ def _whole_grid(p, box, n, start=True):
     return values
 
 
+def _scan(p, box, n):
+    """`_crossed_cells` in batches of 5 cells, joined: cells, corner values, corner offsets."""
+    d = box.dimension
+    nodes = [meshing._node_array(a, b, n) for a, b in box.intervals]
+    offsets = np.array(list(itertools.product((0, 1), repeat=d)))
+    batches = list(meshing._crossed_cells(p, nodes, offsets, 5))
+    assert all(len(cells) == 5 for cells, _ in batches[:-1])
+    cells = np.concatenate([c for c, _ in batches] + [np.empty(0, dtype=np.intp)])
+    values = np.concatenate([v for _, v in batches] + [np.empty((2**d, 0))], axis=1)
+    return cells, values, offsets
+
+
+def _assert_scan_matches_whole_grid(p, box, n):
+    """The scan's crossed cells and corner values equal the whole grid's, byte for byte.
+
+    Returns the whole grid, the crossed cells, their corner values and the
+    corner offsets.
+    """
+    cells, values, offsets = _scan(p, box, n)
+    grid = _whole_grid(p, box, n)
+    corner_grids = [grid[tuple(slice(o, o + n) for o in offset)] for offset in offsets]
+    mixed = np.zeros((n,) * box.dimension, dtype=bool)
+    for corner in corner_grids[1:]:
+        mixed |= (corner < 0) != (corner_grids[0] < 0)
+    expected = np.flatnonzero(mixed)
+    assert np.array_equal(cells, expected)
+    for row, corner in zip(values, corner_grids):
+        assert row.tobytes() == corner.reshape(-1)[expected].tobytes()
+    return grid, expected, values, offsets
+
+
+def _kept_blocks(p, box, n):
+    """The certificate's mask of kept blocks over the whole grid of blocks."""
+    nodes = [meshing._node_array(a, b, n) for a, b in box.intervals]
+    return meshing._Certificate(p, nodes, meshing._BLOCK[box.dimension]).keep(slice(None))
+
+
 # Every term vanishes on x1 = 0, where x2 < 0 (and x3 > 0 in d=3) makes each
 # of them -0.0: only the +0.0 start of the sum makes those vertices +0.0.
 _SEAM_CASES = {
     2: ("x1*x2 - x1 + x1^2*x2", "0,1;-1,1"),
     3: ("x1*x2*x3 - x1 + x1*x2", "0,1;-1,1;-1,1"),
 }
-_SEAM_HEIGHT = 4
+_SEAM_BLOCK = 4
 
 
 class TestSlabSeams:
     @pytest.fixture
-    def slabs(self, monkeypatch):
-        """Slabs of _SEAM_HEIGHT cell rows at resolution n, and batches of 5 cells."""
+    def small_blocks(self, monkeypatch):
+        """Blocks of _SEAM_BLOCK cells per axis, `most` blocks per batch, batches of 5 cells."""
 
-        def set_resolution(n, d):
-            budget = 16 * (_SEAM_HEIGHT + 1) * (n + 1) ** (d - 1)
-            monkeypatch.setattr(meshing, "_SLAB_BYTES", budget)
+        def set_blocks(d, most):
+            monkeypatch.setattr(meshing, "_scan_whole", lambda n, d: False)
+            monkeypatch.setitem(meshing._BLOCK, d, _SEAM_BLOCK)
+            monkeypatch.setattr(meshing, "_BUFFER_BYTES", 16 * (_SEAM_BLOCK + 1) ** d * most)
             monkeypatch.setattr(meshing, "_BATCH_CELLS", 5)
-            assert meshing._slab_rows(n, d) == _SEAM_HEIGHT
+            assert meshing._batch_blocks(d) == most
 
-        return set_resolution
+        return set_blocks
 
+    # One block per batch slices every block-row with two or more kept
+    # blocks into single cell rows; three per batch also put several
+    # block-rows with few kept blocks into one batch.
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize(
-        "n", [_SEAM_HEIGHT - 1, _SEAM_HEIGHT, 2 * _SEAM_HEIGHT - 1, 2 * _SEAM_HEIGHT + 1]
+        "n", [_SEAM_BLOCK - 1, _SEAM_BLOCK, 2 * _SEAM_BLOCK - 1, 2 * _SEAM_BLOCK + 1]
     )
-    def test_crossed_corners_match_whole_grid(self, slabs, d, n):
-        slabs(n, d)
+    def test_crossed_corners_match_whole_grid(self, small_blocks, d, n):
         text, box = _SEAM_CASES[d]
         p = parse_polynomial(text, d)
         box = Box.parse(box, d)
-        nodes = [meshing._node_array(a, b, n) for a, b in box.intervals]
-        offsets = np.array(list(itertools.product((0, 1), repeat=d)))
-        batches = list(meshing._crossed_cells(p, nodes, offsets, 5))
-        cells = np.concatenate([c for c, _ in batches])
-        values = np.concatenate([v for _, v in batches], axis=1)
+        for most in (1, 3):
+            small_blocks(d, most)
+            grid, expected, values, offsets = _assert_scan_matches_whole_grid(p, box, n)
 
-        grid = _whole_grid(p, box, n)
-        corner_grids = [grid[tuple(slice(o, o + n) for o in offset)] for offset in offsets]
-        mixed = np.zeros((n,) * d, dtype=bool)
-        for corner in corner_grids[1:]:
-            mixed |= (corner < 0) != (corner_grids[0] < 0)
-        expected = np.flatnonzero(mixed)
-        assert np.array_equal(cells, expected)
-        for row, corner in zip(values, corner_grids):
-            assert row.tobytes() == corner.reshape(-1)[expected].tobytes()
-
-        # Some crossed corner is a sum of negative zeros, which the mesh keeps as +0.0.
-        negative_zero = np.signbit(_whole_grid(p, box, n, start=False)) & (grid == 0)
-        assert any(
-            negative_zero[tuple(slice(o, o + n) for o in offset)].reshape(-1)[expected].any()
-            for offset in offsets
-        )
-        assert not np.signbit(values[values == 0]).any()
+            # Some crossed corner is a sum of negative zeros, which the mesh keeps as +0.0.
+            negative_zero = np.signbit(_whole_grid(p, box, n, start=False)) & (grid == 0)
+            assert any(
+                negative_zero[tuple(slice(o, o + n) for o in offset)].reshape(-1)[expected].any()
+                for offset in offsets
+            )
+            assert not np.signbit(values[values == 0]).any()
 
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("n", [_SEAM_HEIGHT, 2 * _SEAM_HEIGHT + 1])
-    def test_mesh_matches_one_slab(self, slabs, d, n):
+    @pytest.mark.parametrize("n", [_SEAM_BLOCK, 2 * _SEAM_BLOCK + 1])
+    def test_mesh_matches_one_slab(self, small_blocks, d, n):
         text, box = _SEAM_CASES[d]
         p = parse_polynomial(text, d)
         box = Box.parse(box, d)
         measure = marching_squares_length if d == 2 else marching_cubes_area
+        assert meshing._scan_whole(n, d)
         whole = measure(p, box, n, keep_mesh=True)
-        assert meshing._slab_rows(n, d) >= n  # one slab, one batch
-        slabs(n, d)
-        sliced = measure(p, box, n, keep_mesh=True)
-        assert sliced.value.hex() == whole.value.hex()
-        assert sliced.cells_with_sign_change == whole.cells_with_sign_change
-        assert sliced.mesh.tobytes() == whole.mesh.tobytes()
+        assert whole.cells_with_sign_change <= meshing._BATCH_CELLS  # one batch
+        for most in (1, 3):
+            small_blocks(d, most)
+            sliced = measure(p, box, n, keep_mesh=True)
+            assert sliced.value.hex() == whole.value.hex()
+            assert sliced.cells_with_sign_change == whole.cells_with_sign_change
+            assert sliced.mesh.tobytes() == whole.mesh.tobytes()
+
+
+def _scan_problems(d):
+    monomials = st.tuples(*[st.integers(0, 4)] * d).filter(lambda e: sum(e) <= 4)
+    polys = st.dictionaries(
+        monomials,
+        st.fractions(min_value=-8, max_value=8, max_denominator=12),
+        min_size=1,
+        max_size=6,
+    ).map(lambda terms: Polynomial(d, terms)).filter(lambda p: not p.is_trivial)
+    # Intervals below, around and above 0.
+    intervals = st.tuples(
+        st.fractions(min_value=-2, max_value=2, max_denominator=8),
+        st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=8),
+    ).map(lambda a: (a[0], a[0] + a[1]))
+    boxes = st.lists(intervals, min_size=d, max_size=d).map(Box)
+    return st.tuples(polys, boxes, st.integers(2, 40 if d == 2 else 20))
+
+
+def _seam_problem(d, n):
+    text, box = _SEAM_CASES[d]
+    return parse_polynomial(text, d), Box.parse(box, d), n
+
+
+class TestBlockScan:
+    @settings(max_examples=60)
+    @example(_seam_problem(2, 9), 4, 1)
+    @example(_seam_problem(3, 9), 4, 3)
+    @given(
+        st.sampled_from([2, 3]).flatmap(_scan_problems),
+        st.sampled_from([None, 2, 3, 4]),
+        st.sampled_from([None, 1, 3]),
+    )
+    def test_matches_whole_grid(self, problem, size, most):
+        # Default or small blocks (n below, at and past whole multiples of
+        # the block), with default or few blocks per batch; and the seam
+        # polynomials, whose every term is -0.0 at some vertices.
+        p, box, n = problem
+        d = box.dimension
+        size = size or meshing._BLOCK[d]
+        most = most or meshing._batch_blocks(d)
+        with mock.patch.dict(meshing._BLOCK, {d: size}), mock.patch.multiple(
+            meshing, _BUFFER_BYTES=16 * (size + 1) ** d * most, _scan_whole=lambda n, d: False
+        ):
+            _assert_scan_matches_whole_grid(p, box, n)
+
+    def test_sharpness_evaluates_few_vertices(self, monkeypatch):
+        # A certificate that stops skipping blocks changes no result, only
+        # the work, so count the vertex values computed.
+        evaluate = meshing._evaluate
+        evaluated = []
+
+        def counting(terms, out, tmp):
+            evaluated.append(out.size)
+            return evaluate(terms, out, tmp)
+
+        monkeypatch.setattr(meshing, "_evaluate", counting)
+        n = 2048
+        estimate = marching_squares_length(sharpness_polynomial(2, 64), UNIT_SQUARE, n)
+        assert estimate.cells_with_sign_change > 0
+        assert sum(evaluated) <= 0.05 * (n + 1) ** 2
+
+
+class TestCertificate:
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        """Scan even small grids block by block, through the certificate."""
+        monkeypatch.setattr(meshing, "_scan_whole", lambda n, d: False)
+
+    @pytest.mark.parametrize(
+        "shift, kept", [(Fraction(1, 2**50), True), (Fraction(1, 2**46), False)]
+    )
+    def test_margin_decides_blocks_at_zero(self, shift, kept):
+        # On the blocks at x1 = 0, x1 + shift is positive at every vertex and
+        # its enclosure [shift, 1/4 + shift] stays above 0; by less than the
+        # margin (about 4.4e-15) for 2**-50, which keeps those blocks, and by
+        # more for 2**-46, which skips them.
+        p = Polynomial(2, {(1, 0): 1, (0, 0): shift})
+        n = 64
+        keep = _kept_blocks(p, UNIT_SQUARE, n)
+        assert keep[0].all() == kept and not keep[1:].any()
+        grid, expected, _, _ = _assert_scan_matches_whole_grid(p, UNIT_SQUARE, n)
+        assert (grid > 0).all() and len(expected) == 0
+
+    def test_even_power_around_zero_reaches_zero(self):
+        # At n = 24 on [-1, 1]^2 the first block-row spans x1 in [-1, 1/3]:
+        # there x1^2 ranges over [0, 1], not between its endpoint values 1/9
+        # and 1, and x1^2 - 1/100 crosses zero near x1 = 0.
+        p = parse_polynomial("x1^2 - 1/100", 2)
+        box = Box.cube(-1, 1, 2)
+        keep = _kept_blocks(p, box, 24)
+        assert keep[0].all() and not keep[1].any()
+        _, expected, _, _ = _assert_scan_matches_whole_grid(p, box, 24)
+        assert len(expected) > 0
+
+    def test_overestimated_enclosure_keeps_block(self):
+        # (x1 - x2)^2 + 1/100 is positive everywhere, but term by term its
+        # enclosure spans 0 on the blocks along the diagonal.
+        p = parse_polynomial("x1^2 - 2*x1*x2 + x2^2 + 1/100", 2)
+        n = 64
+        keep = _kept_blocks(p, UNIT_SQUARE, n)
+        assert keep.diagonal().all() and not keep.all()
+        grid, expected, _, _ = _assert_scan_matches_whole_grid(p, UNIT_SQUARE, n)
+        assert (grid > 0).all() and len(expected) == 0
+
+    @pytest.mark.parametrize(
+        "terms, box, everything_kept",
+        [
+            # 10^300 * 4^2 passes 2**1000, the certificate's ceiling.
+            ({(2, 0): Fraction(10**300), (0, 1): -Fraction(10**300)}, Box.cube(-4, 4, 2), True),
+            # Every term is subnormal, so no margin can be shown.
+            (
+                {(1, 0): Fraction(1, 10**310), (0, 1): Fraction(1, 10**310),
+                 (0, 0): -Fraction(1, 10**310)},
+                UNIT_SQUARE,
+                True,
+            ),
+            # Terms near 10^-300 that underflow toward the corner at 0.
+            ({(4, 4): Fraction(1, 10**300), (0, 0): -Fraction(1, 10**318)}, UNIT_SQUARE, False),
+            # x1^200 underflows near 0 and stays below 1 in the box.
+            ({(200, 0): Fraction(1), (1, 1): Fraction(1, 3), (0, 0): -Fraction(1, 8)},
+             Box.cube(-1, 1, 2), False),
+        ],
+        ids=["1e300", "subnormal", "1e-300", "x1^200"],
+    )
+    def test_extreme_magnitudes(self, terms, box, everything_kept):
+        # Runs with RuntimeWarnings raised as errors (pyproject.toml).
+        p = Polynomial(2, terms)
+        n = 64
+        keep = _kept_blocks(p, box, n)
+        assert keep.all() == everything_kept
+        _assert_scan_matches_whole_grid(p, box, n)
 
 
 class TestMeshMemory:
@@ -410,20 +574,25 @@ class TestMeshMemory:
     )
     def test_no_whole_float_grid(self, d, n, measure):
         # Peak traced allocation (NumPy reports its buffers to tracemalloc)
-        # stays below half of one whole (n+1)^d float64 vertex grid.
+        # stays below half of one whole (n+1)^d float64 vertex grid, with the
+        # sharpness polynomial and with its zero set scaled by 10^302, past
+        # the certificate's ceiling, so that every block is evaluated.
         p = sharpness_polynomial(d, 512)
+        scaled = Polynomial(d, {e: c * 10**302 for e, c in p.terms.items()})
         box = Box.cube(0, 1, d)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            measure(p, box, n)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < 8 * (n + 1) ** d / 2
+        assert _kept_blocks(scaled, box, n).all()
+        for q in (p, scaled):
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                measure(q, box, n)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert peak < 8 * (n + 1) ** d / 2
 
 
 class TestGridInvariances:
