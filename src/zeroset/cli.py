@@ -6,9 +6,10 @@ and always echo the fully resolved configuration, including defaulted seed
 and scheme, so any run can be reproduced exactly.
 
 Serialization: exact rationals appear as "num/den" strings ("2", "-1/4"),
-reals as shortest round-trip decimals.  Exit codes: 0 ok, 2 parse error,
-3 trivial polynomial, 4 I/O error; failures print a JSON error record to
-stderr.
+reals as shortest round-trip decimals.  Exit codes: 0 ok, 2 parse error
+(bad arguments, configuration or polynomial text, all checked before any
+estimate runs), 3 trivial polynomial, 4 I/O error; these failures print a
+JSON error record to stderr.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .crofton import (
     crofton_upper_estimate,
     theorem_bound,
 )
-from .experiment import ExperimentRow, sharpness_experiment
+from .experiment import ExperimentRow, check_sharpness, sharpness_experiment
 from .meshing import (
     MeasureEstimate,
     check_resolution,
@@ -39,7 +40,7 @@ from .meshing import (
     measure_d1,
     write_mesh_csv,
 )
-from .polynomial import ParseError, Polynomial, TrivialPolynomialError, parse_polynomial
+from .polynomial import Polynomial, TrivialPolynomialError, parse_polynomial
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -157,6 +158,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     dump_mesh = getattr(args, "dump_mesh", None)
     if dump_mesh and dimension not in (2, 3):
         raise ValueError("mesh dumps exist only for dimensions 2 and 3")
+    if args.command == "measure" and dimension > 3:
+        raise ValueError("direct measure estimation is available only for d <= 3")
     if dimension in (2, 3) and (args.command in ("measure", "report", "sharpness") or dump_mesh):
         check_resolution(resolution)  # before any estimate runs
     n_values = None
@@ -166,10 +169,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             n_values = tuple(int(v) for v in text.split(","))
         else:
             n_values = _DEFAULT_N_VALUES.get(dimension, (4, 16, 64))
+        check_sharpness(dimension, n_values)
         box = Box.cube(0, 1, dimension)
         poly_text = None
     else:
         box = Box.parse(args.box, dimension)
+        if args.command == "bound" and not box.is_cube:
+            raise ValueError("the bound is stated for cubes only")
         poly_text = args.poly
     return RunConfig(
         command=args.command,
@@ -294,9 +300,7 @@ def _measure_estimate(
         return measure_d1(p, config.box)
     if config.dimension == 2:
         return marching_squares_length(p, config.box, config.resolution, keep_mesh=keep_mesh)
-    if config.dimension == 3:
-        return marching_cubes_area(p, config.box, config.resolution, keep_mesh=keep_mesh)
-    raise ValueError("direct measure estimation is available only for d <= 3")
+    return marching_cubes_area(p, config.box, config.resolution, keep_mesh=keep_mesh)
 
 
 def _dump_mesh(p: Polynomial, config: RunConfig, estimate: MeasureEstimate | None) -> None:
@@ -307,7 +311,8 @@ def _dump_mesh(p: Polynomial, config: RunConfig, estimate: MeasureEstimate | Non
         write_mesh_csv(stream, estimate.mesh, config.dimension)
 
 
-def _execute(config: RunConfig) -> dict:
+def _execute(config: RunConfig, p: Polynomial | None) -> dict:
+    """Run the estimates of a checked configuration; `p` is None for sharpness."""
     results: dict = {}
     if config.command == "sharpness":
         rows = sharpness_experiment(
@@ -316,7 +321,6 @@ def _execute(config: RunConfig) -> dict:
         results["sharpness"] = [asdict(r) for r in rows]
         return results
 
-    p = parse_polynomial(config.polynomial, config.dimension)
     if config.command == "bound" or (
         config.command in ("crofton", "report") and config.box.is_cube
     ):
@@ -325,10 +329,9 @@ def _execute(config: RunConfig) -> dict:
         crofton = crofton_upper_estimate(p, config.box, config.scheme)
         results["crofton"] = _crofton_dict(crofton)
     estimate = None
-    if config.command in ("measure", "report"):
-        if config.command == "measure" or config.dimension <= 3:
-            estimate = _measure_estimate(p, config, keep_mesh=bool(config.dump_mesh))
-            results["measure"] = _measure_dict(estimate)
+    if config.command in ("measure", "report") and config.dimension <= 3:
+        estimate = _measure_estimate(p, config, keep_mesh=bool(config.dump_mesh))
+        results["measure"] = _measure_dict(estimate)
     if config.dump_mesh:
         _dump_mesh(p, config, estimate)
     return results
@@ -340,9 +343,18 @@ def _emit_error(code: int, kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
+    # Only the arguments, the configuration and the polynomial text can be
+    # malformed input: a ValueError from the estimates is a bug, not exit 2.
     try:
         config = _build_config(_build_parser().parse_args(argv))
-        results = _execute(config)
+        p = None
+        if config.command != "sharpness":
+            p = parse_polynomial(config.polynomial, config.dimension)
+    except ValueError as exc:
+        _emit_error(EXIT_PARSE, "parse_error", str(exc))
+        return EXIT_PARSE
+    try:
+        results = _execute(config, p)
         payload = {"config": _config_dict(config), "results": results}
         if config.format == "json":
             text = json.dumps(payload, indent=2) + "\n"
@@ -357,15 +369,9 @@ def main(argv=None) -> int:
     except TrivialPolynomialError as exc:
         _emit_error(EXIT_TRIVIAL, "trivial_polynomial", str(exc))
         return EXIT_TRIVIAL
-    except ParseError as exc:
-        _emit_error(EXIT_PARSE, "parse_error", str(exc))
-        return EXIT_PARSE
     except OSError as exc:
         _emit_error(EXIT_IO, "io_error", str(exc))
         return EXIT_IO
-    except ValueError as exc:
-        _emit_error(EXIT_PARSE, "parse_error", str(exc))
-        return EXIT_PARSE
     return EXIT_OK
 
 

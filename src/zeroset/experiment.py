@@ -40,13 +40,8 @@ def sharpness_polynomial(dimension: int, n: int) -> Polynomial:
     )
 
 
-def sharpness_experiment(
-    dimension: int,
-    n_values: Sequence[int],
-    resolution: int,
-    scheme: Scheme,
-) -> list[ExperimentRow]:
-    """One row per n, in increasing order, on the unit cube."""
+def check_sharpness(dimension: int, n_values: Sequence[int]) -> None:
+    """The experiment needs dimension >= 2 and strictly increasing positive n."""
     if dimension < 2:
         raise ValueError("the sharpness experiment requires dimension >= 2")
     if not n_values:
@@ -55,6 +50,16 @@ def sharpness_experiment(
         raise ValueError("all n must be positive")
     if list(n_values) != sorted(set(n_values)):
         raise ValueError("n_values must be strictly increasing")
+
+
+def sharpness_experiment(
+    dimension: int,
+    n_values: Sequence[int],
+    resolution: int,
+    scheme: Scheme,
+) -> list[ExperimentRow]:
+    """One row per n, in increasing order, on the unit cube."""
+    check_sharpness(dimension, n_values)
     if dimension <= 3:
         check_resolution(resolution)
 

@@ -17,28 +17,32 @@ The vertex values of the other blocks are evaluated in batches into reused
 buffers of about 512 KiB, term by term in the same order everywhere, from
 the same factors as a whole-grid evaluation, so they are bit-identical to
 it.  Only crossed cells (corners of both signs) are kept, with their corner
-values, in row-major order.  The scan thus costs in proportion to the
-blocks near the zero set, and both meshes past it in proportion to the
-crossed cells.  A grid of up to 255**2 or 39**3 cells (1 MiB of vertex
-buffers) is evaluated whole, without blocks or certificate (`_scan_whole`);
-no larger vertex grid is ever built.
+values, batch by batch in no row-major or other set order.  The scan thus
+costs in proportion to the blocks near the zero set, and both meshes past
+it in proportion to the crossed cells.  A grid of up to 255**2 or 39**3
+cells (1 MiB of vertex buffers) is evaluated whole, without blocks or
+certificate (`_scan_whole`); no larger vertex grid is ever built.
 
 Determinism: segment lengths and triangle areas are derived from local cell
-coordinates and reduced with math.fsum (exactly rounded, order-independent),
-so repeated runs and symmetric inputs reproduce bit-identical totals.
+coordinates, and their sum is exact and rounded once (`ExactSum`, equal to
+math.fsum), so it depends on neither the order nor the batches of the
+cells, and repeated runs and symmetric inputs reproduce bit-identical
+totals.  A kept mesh is sorted once, by key and then by flat cell index:
+squares by (case, flipped cells first, segment), cubes by (effective case,
+triangle).
 
-Ambiguity: a square is the bottom face of a cube, and both follow one rule.
-A cell with ambiguous faces (diagonally alternating corner signs) samples
-the polynomial at those face centers, where a square's one face is the
-square itself.  When most centers are negative, the cell takes the table
-entry of the complementary case, 15 - c for squares and 255 - c for cubes,
-which crosses the same edges.
+Table-driven cases: a cell's case code is one weighted sum of its corner
+signs, and tables indexed by it give the ambiguous faces, the primitive
+count and each primitive vertex's edge.  A square is the bottom face of a
+cube, and both follow one rule: a cell with ambiguous faces (diagonally
+alternating corner signs) samples the polynomial at those face centers,
+where a square's one face is the square itself.  When most centers are
+negative, the cell takes the table entry of the complementary case, 15 - c
+for squares and 255 - c for cubes, which crosses the same edges.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,6 +50,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
+from ._exact_sum import ExactSum
 from ._mc_tables import SEGMENTS, TRIANGLES
 from .crofton import Box, error_factor, line_count
 from .polynomial import Polynomial, TrivialPolynomialError
@@ -263,46 +268,46 @@ class _BlockScan:
         starts = np.arange(0, n, size)
         self.vertices = np.minimum(np.arange(size + 1)[:, None] + starts, n)
         self.inside = np.arange(size)[:, None] + starts < n
-        # Each corner's offset from a cell's first vertex, in a block's vertex grid.
+        # Per cell of a block, in row-major order, its offset from the block's
+        # first cell in the cell grid and from its first vertex in the block's
+        # vertex grid; and each corner's offset from a cell's first vertex.
+        self.strides = n ** np.arange(d - 1, -1, -1)
+        local = np.array(np.unravel_index(np.arange(size**d), (size,) * d))
+        self.cell_offsets = self.strides @ local
+        self.vertex_offsets = np.ravel_multi_index(local, (size + 1,) * d)
         self.shifts = np.ravel_multi_index(corners.T, (size + 1,) * d)[:, None]
         self.buf = self.tmp = np.empty(0)
 
-    def crossings(self, index: tuple, top: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-        """Crossed cells among cell rows top..top+h-1 of the blocks at `index`.
+    def crossings(self, index: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Crossed cells of the blocks at `index`, which holds per axis the block coordinates.
 
-        `index` holds per axis the block coordinates.  Returns the cells'
-        flat indices in the n**d cell grid in ascending order, and their
-        corner values, one row per corner.  Cells past the grid, in blocks
-        that overhang it, are left out.
+        Returns the cells' flat indices in the n**d cell grid, in no
+        particular order, and their corner values, one row per corner.  Cells
+        past the grid, in blocks that overhang it, are left out.
         """
         n, size, d, m = self.n, self.size, len(index), len(index[0])
         # The block axis goes last, so that each NumPy inner loop runs over blocks.
-        shape = (h + 1,) + (size + 1,) * (d - 1) + (m,)
+        shape = (size + 1,) * d + (m,)
         used = math.prod(shape)
         if used > self.buf.size:
             self.buf, self.tmp = np.empty(used), np.empty(used)
-        vertex = [self.vertices[top : top + h + 1, index[0]]]
-        vertex += [self.vertices[:, b] for b in index[1:]]
+        vertex = [self.vertices.take(b, axis=1) for b in index]
         head = sum(
-            (v * (n + 1) ** (d - 2 - j)).reshape((1,) * j + (len(v),) + (1,) * (d - 2 - j) + (m,))
+            (v * (n + 1) ** (d - 2 - j)).reshape((1,) * j + (size + 1,) + (1,) * (d - 2 - j) + (m,))
             for j, v in enumerate(vertex[:-1])
         )
         tail = vertex[-1].reshape((1,) * (d - 1) + (size + 1, m))
-        terms = zip(self.factors[:, head][..., None, :], self.lasts[:, tail])
+        terms = zip(self.factors.take(head, axis=1)[..., None, :], self.lasts.take(tail, axis=1))
         values = _evaluate(terms, self.buf[:used].reshape(shape), self.tmp[:used].reshape(shape))
         mixed = _sign_change(values < 0.0)
         if n % size:  # the last block of an axis overhangs the grid
             for j, b in enumerate(index):
-                inside = (self.inside[top : top + h] if j == 0 else self.inside)[:, b]
-                mixed &= inside.reshape((1,) * j + (len(inside),) + (1,) * (d - 1 - j) + (m,))
-        local, k = np.divmod(np.flatnonzero(mixed), m)
-        offsets = np.unravel_index(local, mixed.shape[:-1])  # each cell's place in its block
-        cells = np.ravel_multi_index(
-            [b[k] * size + offset for b, offset in zip(index, offsets)], (n,) * d
-        ) + top * n ** (d - 1)
-        order = np.argsort(cells)
-        first = (np.ravel_multi_index(offsets, shape[:-1]) * m + k)[order]
-        return cells[order], values.reshape(-1)[first + self.shifts * m]
+                inside = self.inside.take(b, axis=1)
+                mixed &= inside.reshape((1,) * j + (size,) + (1,) * (d - 1 - j) + (m,))
+        local, k = np.divmod(np.flatnonzero(mixed), m)  # cell in its block, block
+        cells = (self.strides @ index * size).take(k) + self.cell_offsets.take(local)
+        first = self.vertex_offsets.take(local) * m + k
+        return cells, values.reshape(-1).take(first + self.shifts * m)
 
 
 def _grid_crossings(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray):
@@ -322,9 +327,7 @@ def _grid_crossings(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray)
 def _block_crossings(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray):
     """The crossed cells of the blocks `_Certificate` keeps, with their corner values.
 
-    Yields runs of cells that follow one another in row-major order.  Each
-    run comes from whole block-rows of kept blocks, or from some cell rows
-    of one block-row.
+    Yields them per batch of kept blocks, in the order of `crossings`.
     """
     d, n = len(nodes), len(nodes[0]) - 1
     size = _BLOCK[d]
@@ -342,22 +345,12 @@ def _block_crossings(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray
         kept = np.concatenate([kept, certified])
         last = row + group >= blocks
         while len(kept) >= most or (last and len(kept)):
-            # Whole block-rows, or one block-row with more than `most` kept
-            # blocks in slices of `height` cell rows, fill the buffers.
-            stop = min(most, len(kept))
-            if stop < len(kept):
-                rows = kept // per_row
-                row_start = np.searchsorted(rows, rows[stop])
-                stop = row_start if row_start else np.searchsorted(rows, rows[0], "right")
-            height = min(size, max(1, most * (size + 1) // stop - 1))
-            index = np.unravel_index(kept[:stop], (blocks,) * d)
-            kept = kept[stop:]
-            for top in range(0, size, height):
-                yield scan.crossings(index, top, min(height, size - top))
+            yield scan.crossings(np.unravel_index(kept[:most], (blocks,) * d))
+            kept = kept[most:]
 
 
 def _crossed_cells(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray, batch: int):
-    """The cells of the grid on `nodes` whose corners disagree in sign, in row-major order.
+    """The cells of the grid on `nodes` whose corners disagree in sign, in no particular order.
 
     Yields (flat indices in the n**d cell grid, corner values with one row
     per entry of `corners`) in batches of `batch` cells; the last batch may
@@ -434,123 +427,130 @@ _EDGE_START = _CORNER_OFFSETS[_EDGE_A].T.astype(float)
 _EDGE_STEP = _CORNER_OFFSETS[_EDGE_B].T - _EDGE_START
 
 
-def _primitive_table(table: tuple, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """A case table as arrays: primitive count per case, and edge tuples (zero-padded)."""
-    counts = np.array([len(t) for t in table])
-    edges = np.array(
-        [list(t) + [(0,) * d] * (counts.max() - len(t)) for t in table], dtype=np.uint8
-    )
-    return counts, edges
-
-
-_PRIMITIVES = {2: _primitive_table(SEGMENTS, 2), 3: _primitive_table(TRIANGLES, 3)}
-# The faces whose centers vote on ambiguous cells: corner indices in cyclic
-# order plus the face-center local offset.
+# The faces whose centers vote on ambiguous cells, corners in cyclic order.
 _FACES = {
-    2: [((0, 1, 2, 3), (0.5, 0.5))],
-    3: [
-        ((0, 1, 2, 3), (0.5, 0.5, 0.0)),
-        ((4, 5, 6, 7), (0.5, 0.5, 1.0)),
-        ((0, 1, 5, 4), (0.5, 0.0, 0.5)),
-        ((3, 2, 6, 7), (0.5, 1.0, 0.5)),
-        ((0, 3, 7, 4), (0.0, 0.5, 0.5)),
-        ((1, 2, 6, 5), (1.0, 0.5, 0.5)),
-    ],
+    2: [(0, 1, 2, 3)],
+    3: [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 5, 4), (3, 2, 6, 7), (0, 3, 7, 4), (1, 2, 6, 5)],
 }
+
+
+class _Cases:
+    """The d-dimensional case tables, indexed by case code (bit i: corner i negative).
+
+    `bits` holds each corner's bit, `faces` per case a bit per face of
+    `_FACES[d]` whose corners alternate diagonally in sign, and `centers`
+    per axis each face's center.  `counts` holds the primitives per case and
+    `width` the most of any case; `edges` holds per vertex and per row
+    case * width + slot of a primitive the vertex's edge.
+    """
+
+    def __init__(self, table: tuple, d: int):
+        self.bits = 1 << np.arange(2**d)
+        neg = np.arange(2 ** 2**d)[:, None] & self.bits != 0  # case, corner
+        self.faces = np.zeros(2 ** 2**d, dtype=np.intp)
+        for bit, (f0, f1, f2, f3) in enumerate(_FACES[d]):
+            ambiguous = (neg[:, f0] == neg[:, f2]) & (neg[:, f1] == neg[:, f3])
+            self.faces |= (ambiguous & (neg[:, f0] != neg[:, f1])) << bit
+        self.centers = _CORNER_OFFSETS[np.array(_FACES[d]), :d].mean(axis=1).T
+        self.counts = np.array([len(t) for t in table])
+        self.width = int(self.counts.max())
+        edges = np.array([list(t) + [(0,) * d] * (self.width - len(t)) for t in table])
+        self.edges = np.ascontiguousarray(edges.reshape(-1, d).T)
+
+
+_CASES = {2: _Cases(SEGMENTS, 2), 3: _Cases(TRIANGLES, 3)}
 # Crossed cells are meshed in batches of about this many cells, so the
 # per-primitive arrays stay small.
-_BATCH_CELLS = 2048
+_BATCH_CELLS = 1024
 
 
 def _march(p: Polynomial, box: Box, n: int, keep: bool):
     """Marching squares (d=2) or cubes (d=3) on the n**d cell grid of `box`.
 
-    Returns the fsum of the segment lengths or triangle areas, the number of
-    crossed cells, and with `keep` the primitives, one row of d vertices
-    (d coordinates each) per segment or triangle.
+    Returns the exactly rounded sum of the segment lengths or triangle
+    areas, the number of crossed cells, and with `keep` the primitives, one
+    row of d vertices (d coordinates each) per segment or triangle.
     """
     d = box.dimension
-    counts_by_case, edges_by_case = _PRIMITIVES[d]
     nodes = [_node_array(a, b, n) for a, b in box.intervals]
-    h = [float((b - a) / n) for a, b in box.intervals]
+    h = np.array([float((b - a) / n) for a, b in box.intervals])
     crossed = 0
-    measures: list[np.ndarray] = []
-    primitives: list[np.ndarray] = []
-    order_keys: list[np.ndarray] = []
+    total = ExactSum()
+    kept = []
     batches = _crossed_cells(p, nodes, _CORNER_OFFSETS[: 2**d, :d], _BATCH_CELLS)
     for cells, corner_values in batches:
-        m = len(cells)
-        crossed += m
-        cell_origin = [x[i] for x, i in zip(nodes, np.unravel_index(cells, (n,) * d))]
-        corner_neg = corner_values < 0.0
-        cases = sum(neg.astype(np.uint8) << bit for bit, neg in enumerate(corner_neg))
-
-        # Face-center rule: a cell with ambiguous faces (diagonally alternating
-        # corner signs) takes the table entry of the complementary case, which
-        # has the same crossed edges, when most of those face centers sample
-        # negative.  A square's one face is the square itself.
-        votes = np.zeros(m, dtype=np.intp)  # negative minus positive centers
-        for (f0, f1, f2, f3), center in _FACES[d]:
-            ambiguous = (
-                (corner_neg[f0] == corner_neg[f2])
-                & (corner_neg[f1] == corner_neg[f3])
-                & (corner_neg[f0] != corner_neg[f1])
-            )
-            if not ambiguous.any():
-                continue
-            sel = np.nonzero(ambiguous)[0]
-            coords = tuple(cell_origin[j][sel] + center[j] * h[j] for j in range(d))
-            votes[sel] += np.where(_values_at(p, coords) < 0.0, 1, -1)
-        effective = np.where(votes > 0, 2 ** 2**d - 1 - cases, cases)
-
-        # One row per primitive: cell by cell, each cell's primitives in table order.
-        counts = counts_by_case[effective]
-        cell = np.repeat(np.arange(m), counts)
-        index = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
-        case = effective[cell]
-        edges = edges_by_case[case, index]
-
-        # One array per axis, with the float operations, in order, of
-        # start + t * step, (q - p1) * h and the length or cross-product norm.
-        flat = np.ascontiguousarray(corner_values).reshape(-1)  # corner-major, m per corner
-        points = []
-        for k in range(d):
-            edge = edges[:, k]
-            va = flat[_EDGE_A[edge] * m + cell]
-            vb = flat[_EDGE_B[edge] * m + cell]
-            t = va / (va - vb)
-            points.append([_EDGE_START[j][edge] + t * _EDGE_STEP[j][edge] for j in range(d)])
-        sides = [[(q[j] - points[0][j]) * h[j] for j in range(d)] for q in points[1:]]
-        if d == 2:
-            ((dx, dy),) = sides
-            measures.append(np.sqrt(dx * dx + dy * dy))
-        else:
-            (a0, a1, a2), (b0, b1, b2) = sides
-            c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-            measures.append(0.5 * np.sqrt((c0 * c0 + c1 * c1) + c2 * c2))
-        if keep:
-            origin = [x[cell] for x in cell_origin]
-            primitives.append(np.column_stack(
-                [origin[j] + q[j] * h[j] for q in points for j in range(d)]
-            ))
-            # Dump order, cells row-major within each key: squares by
-            # (case, flipped cells first, segment), cubes by (effective
-            # case, triangle).
-            width = edges_by_case.shape[1]
-            if d == 2:
-                own = cases[cell].astype(np.intp)
-                order_keys.append((2 * own + (case == own)) * width + index)
-            else:
-                order_keys.append(case.astype(np.intp) * width + index)
-
-    total = math.fsum(itertools.chain.from_iterable(a.tolist() for a in measures))
+        crossed += len(cells)
+        measures, primitives = _march_batch(p, nodes, h, cells, corner_values, keep)
+        total.add(measures)
+        kept.append(primitives)
     mesh = None
     if keep:
         mesh = np.empty((0, d * d))
-        if primitives:
-            order = np.argsort(np.concatenate(order_keys), kind="stable")
-            mesh = np.concatenate(primitives)[order]
-    return total, crossed, mesh
+        if kept:
+            rows, keys, owners = (np.concatenate(x) for x in zip(*kept))
+            mesh = rows[np.lexsort((owners, keys))]
+    return total.value(), crossed, mesh
+
+
+def _march_batch(
+    p: Polynomial, nodes: list[np.ndarray], h: np.ndarray, cells: np.ndarray, corners, keep: bool
+):
+    """The segment lengths or triangle areas of a batch of crossed cells, given
+    their corner values, and with `keep` their primitives' rows, dump-order keys and cells."""
+    d, m = len(nodes), len(cells)
+    table = _CASES[d]
+    cases = table.bits @ (corners < 0.0)
+
+    # Face-center rule: a cell whose ambiguous faces mostly sample negative
+    # at their centers takes the complementary case's table entry.
+    effective = cases
+    voting = np.flatnonzero(table.faces[cases])
+    if len(voting):
+        faces = table.faces[cases[voting], None] >> np.arange(len(_FACES[d])) & 1
+        which, face = np.nonzero(faces)  # voting cell, ambiguous face
+        origin = _origins(nodes, cells[voting[which]])
+        centers = [x + table.centers[j][face] * h[j] for j, x in enumerate(origin)]
+        negative = np.where(_values_at(p, centers) < 0.0, 1.0, -1.0)
+        flip = voting[np.bincount(which, negative, len(voting)) > 0]
+        effective = cases.copy()
+        effective[flip] = 2 ** 2**d - 1 - cases[flip]
+
+    # One row per primitive: cell by cell, each cell's primitives in table order.
+    counts = table.counts[effective]
+    cell = np.repeat(np.arange(m), counts)
+    slot = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
+    row = effective[cell] * table.width + slot
+
+    # Per axis, arrays by vertex (side) and primitive, with the float operations,
+    # in order, of start + t * step, (q - p1) * h and the length or cross-product norm.
+    edge = table.edges.take(row, axis=1)
+    va = corners.take(_EDGE_A.take(edge) * m + cell)  # corner-major, m values per corner
+    vb = corners.take(_EDGE_B.take(edge) * m + cell)
+    t = va / (va - vb)
+    points = [_EDGE_START[j].take(edge) + t * _EDGE_STEP[j].take(edge) for j in range(d)]
+    sides = [(x[1:] - x[:1]) * h[j] for j, x in enumerate(points)]
+    if d == 2:
+        (dx,), (dy,) = sides
+        measures = np.sqrt(dx * dx + dy * dy)
+    else:
+        (a0, b0), (a1, b1), (a2, b2) = sides
+        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        measures = 0.5 * np.sqrt((c0 * c0 + c1 * c1) + c2 * c2)
+    if not keep:
+        return measures, None
+    owner = cells[cell]
+    origin = _origins(nodes, owner)
+    rows = np.column_stack([origin[j] + points[j][v] * h[j] for v in range(d) for j in range(d)])
+    key = row  # cubes by (effective case, triangle), squares (case, flipped first, segment)
+    if d == 2:
+        key = (2 * cases[cell] + (effective == cases)[cell]) * table.width + slot
+    return measures, (rows, key, owner)
+
+
+def _origins(nodes: list[np.ndarray], cells: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the first-vertex coordinate of each cell (a flat index in the n**d grid)."""
+    n = len(nodes[0]) - 1
+    return [x[i] for x, i in zip(nodes, np.unravel_index(cells, (n,) * len(nodes)))]
 
 
 def _mesh_estimate(

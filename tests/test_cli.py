@@ -150,6 +150,49 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "parse_error"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sharpness", "--dim", "2", "--n-list", "16,4"],
+            ["sharpness", "--dim", "2", "--n-list", "0,4"],
+            ["sharpness", "--dim", "1", "--n-list", "4"],
+            ["measure", "--poly", "x1*x2*x3*x4 - 1/2", "--dim", "4"],
+            ["bound", "--poly", "x1*x2 - 1/4", "--dim", "2", "--box", "0,1;0,2"],
+        ],
+        ids=["n-decreasing", "n-zero", "sharpness-d1", "measure-d4", "bound-non-cube"],
+    )
+    def test_bad_configuration_is_2_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an estimate ran before the input was checked")
+
+        for name in ("crofton_upper_estimate", "sharpness_experiment", "marching_squares_length",
+                     "marching_cubes_area", "theorem_bound"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--poly", "x1*x2 - 1/4", "--dim", "2", "--resolution", "8"],
+            ["sharpness", "--dim", "3", "--n-list", "8", "--scheme", "grid:4",
+             "--resolution", "8"],
+        ],
+        ids=["measure", "sharpness"],
+    )
+    def test_internal_value_error_is_not_a_parse_error(self, capsys, monkeypatch, argv):
+        # A ValueError raised inside an estimate is a bug in the program, not
+        # malformed input: it propagates instead of exiting 2.
+        def broken(*args, **kwargs):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(meshing, "_march", broken)
+        with pytest.raises(ValueError, match="planted"):
+            main(argv)
+        assert capsys.readouterr().err == ""
+
     def test_sharpness_rejects_dump_mesh(self, capsys, tmp_path):
         path = tmp_path / "mesh.csv"
         code, out, err = run_cli(

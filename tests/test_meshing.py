@@ -27,6 +27,7 @@ from zeroset import (
     theorem_bound,
     write_mesh_csv,
 )
+from zeroset._mc_tables import SEGMENTS, TRIANGLES
 
 from oracles import (
     arc_length_oracle,
@@ -348,19 +349,22 @@ def _scan(p, box, n):
 
 
 def _assert_scan_matches_whole_grid(p, box, n):
-    """The scan's crossed cells and corner values equal the whole grid's, byte for byte.
+    """The scan's crossed cells are the whole grid's, as a set, and each
+    cell's corner values equal the whole grid's, byte for byte.
 
-    Returns the whole grid, the crossed cells, their corner values and the
-    corner offsets.
+    Returns the whole grid, the crossed cells in row-major order, their
+    corner values in that order and the corner offsets.
     """
     cells, values, offsets = _scan(p, box, n)
+    order = np.argsort(cells)
+    cells, values = cells[order], values[:, order]
     grid = _whole_grid(p, box, n)
     corner_grids = [grid[tuple(slice(o, o + n) for o in offset)] for offset in offsets]
     mixed = np.zeros((n,) * box.dimension, dtype=bool)
     for corner in corner_grids[1:]:
         mixed |= (corner < 0) != (corner_grids[0] < 0)
     expected = np.flatnonzero(mixed)
-    assert np.array_equal(cells, expected)
+    assert np.array_equal(cells, expected)  # each crossed cell once, no other cell
     for row, corner in zip(values, corner_grids):
         assert row.tobytes() == corner.reshape(-1)[expected].tobytes()
     return grid, expected, values, offsets
@@ -395,9 +399,8 @@ class TestSlabSeams:
 
         return set_blocks
 
-    # One block per batch slices every block-row with two or more kept
-    # blocks into single cell rows; three per batch also put several
-    # block-rows with few kept blocks into one batch.
+    # One block per batch evaluates every kept block alone; three per batch
+    # also put kept blocks of different block-rows into one batch.
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize(
         "n", [_SEAM_BLOCK - 1, _SEAM_BLOCK, 2 * _SEAM_BLOCK - 1, 2 * _SEAM_BLOCK + 1]
@@ -479,6 +482,28 @@ class TestBlockScan:
             meshing, _BUFFER_BYTES=16 * (size + 1) ** d * most, _scan_whole=lambda n, d: False
         ):
             _assert_scan_matches_whole_grid(p, box, n)
+
+    @settings(max_examples=30)
+    @given(st.sampled_from([2, 3]).flatmap(_scan_problems), st.integers(2, 4), st.integers(1, 3))
+    def test_mesh_matches_whole_grid(self, problem, size, most):
+        # Blocks of 2-4 cells, 1-3 blocks per batch and batches of 5 cells
+        # reorder and regroup the crossed cells; the total (an exact sum) and
+        # the dump (sorted by key and cell) stay those of the whole-grid scan.
+        p, box, n = problem
+        d = box.dimension
+        measure = marching_squares_length if d == 2 else marching_cubes_area
+        assert meshing._scan_whole(n, d)
+        whole = measure(p, box, n, keep_mesh=True)
+        with mock.patch.dict(meshing._BLOCK, {d: size}), mock.patch.multiple(
+            meshing,
+            _BUFFER_BYTES=16 * (size + 1) ** d * most,
+            _scan_whole=lambda n, d: False,
+            _BATCH_CELLS=5,
+        ):
+            blocked = measure(p, box, n, keep_mesh=True)
+        assert blocked.value.hex() == whole.value.hex()
+        assert blocked.cells_with_sign_change == whole.cells_with_sign_change
+        assert blocked.mesh.tobytes() == whole.mesh.tobytes()
 
     def test_sharpness_evaluates_few_vertices(self, monkeypatch):
         # A certificate that stops skipping blocks changes no result, only
@@ -566,6 +591,54 @@ class TestCertificate:
         keep = _kept_blocks(p, box, n)
         assert keep.all() == everything_kept
         _assert_scan_matches_whole_grid(p, box, n)
+
+
+class TestCaseTables:
+    """Every entry of the case tables, against the rules and lists they encode."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_face_masks_follow_the_corner_rule(self, d):
+        cases = meshing._CASES[d]
+        for case in range(2 ** 2**d):
+            neg = [case >> corner & 1 for corner in range(2**d)]
+            expected = sum(
+                1 << bit
+                for bit, (a, b, c, e) in enumerate(meshing._FACES[d])
+                if neg[a] == neg[c] and neg[b] == neg[e] and neg[a] != neg[b]
+            )
+            assert cases.faces[case] == expected
+        assert {c for c in range(16) if meshing._CASES[2].faces[c]} == {5, 10}
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_faces_and_centers(self, d):
+        offsets = meshing._CORNER_OFFSETS[:, :d].tolist()
+        for face, center in zip(meshing._FACES[d], meshing._CASES[d].centers.T.tolist()):
+            corners = [offsets[c] for c in face]
+            # Four corners sharing one coordinate, each next to the following one.
+            assert d == 2 or any(len({c[j] for c in corners}) == 1 for j in range(d))
+            for a, b in zip(corners, corners[1:] + corners[:1]):
+                assert sum(abs(x - y) for x, y in zip(a, b)) == 1
+            assert center == [sum(c[j] for c in corners) / 4 for j in range(d)]
+
+    @pytest.mark.parametrize("d, primitives", [(2, SEGMENTS), (3, TRIANGLES)])
+    def test_primitives_match_the_case_lists(self, d, primitives):
+        cases = meshing._CASES[d]
+        assert all(t.dtype == np.intp for t in (cases.bits, cases.faces, cases.counts, cases.edges))
+        offsets = meshing._CORNER_OFFSETS.tolist()
+        for case, listed in enumerate(primitives):
+            assert cases.counts[case] == len(listed)
+            for slot, edges in enumerate(listed):
+                row = case * cases.width + slot
+                assert tuple(cases.edges[:, row]) == edges
+                for edge in edges:
+                    a, b = meshing._EDGE_A[edge], meshing._EDGE_B[edge]
+                    # A crossed edge of the cell, first corner lexicographically smaller.
+                    assert max(a, b) < 2**d and (case >> a & 1) != (case >> b & 1)
+                    assert offsets[a] < offsets[b]
+                    start = meshing._EDGE_START[:, edge].tolist()
+                    step = meshing._EDGE_STEP[:, edge].tolist()
+                    assert start == offsets[a]
+                    assert [s + t for s, t in zip(start, step)] == offsets[b]
 
 
 class TestMeshMemory:
