@@ -9,7 +9,6 @@ from .crofton import (
     MonteCarloScheme,
     crofton_axis_integral,
     crofton_upper_estimate,
-    line_count,
     theorem_bound,
 )
 from .experiment import ExperimentRow, sharpness_experiment, sharpness_polynomial
@@ -24,9 +23,7 @@ from .polynomial import (
     ParseError,
     Polynomial,
     TrivialPolynomialError,
-    UnivariatePolynomial,
     parse_polynomial,
 )
-from .sturm import IDENTICALLY_ZERO, RootCount, count_real_roots
 
 __version__ = "0.1.0"

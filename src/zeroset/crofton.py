@@ -13,7 +13,8 @@ Two exports matter most:
 Per-line counts are certified, and both schemes sample at exact rational
 base points, so every estimate is an exact rational that is only converted
 to float for reporting.  All reductions are integer sums, and every line is
-counted in the calling process.
+counted in the calling process, by one counter at every dimension: in d = 1
+the base is a point, and its one line is counted like any other.
 
 Every base point of one axis shares a denominator D, so it is a tuple of
 integer numerators N with x = N/D.  The coefficients of p in x_k, scaled to
@@ -39,10 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .polynomial import Polynomial, RationalLike, TrivialPolynomialError, _coerce
-# unit_fraction is the rational form of the Monte Carlo draws below; it stays
-# importable from here because perfbench's tracer wraps crofton.unit_fraction.
-from .rng import UNIT_BITS, mix64_array, unit_fraction  # noqa: F401
-from .sturm import Ratio, RootCount, count_int_roots, count_real_roots
+from .rng import UNIT_BITS, mix64_array
+from .sturm import Ratio, count_int_roots
 
 DEFAULT_SEED = 20240601
 DEFAULT_CONFIDENCE = 0.95
@@ -202,23 +201,6 @@ def theorem_bound(p: Polynomial, cube: Box) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def line_count(p: Polynomial, box: Box, k: int, base: Sequence[RationalLike]) -> RootCount:
-    """Distinct roots of p along the axis-k line through `base`, inside the box."""
-    if p.is_trivial:
-        raise TrivialPolynomialError("line counts require a nontrivial polynomial")
-    if p.dimension != box.dimension:
-        raise ValueError("polynomial and box dimensions differ")
-    projected = box.project(k)
-    base = [_coerce(v) for v in base]
-    if len(base) != projected.dimension:
-        raise ValueError(f"base has length {len(base)}, expected {projected.dimension}")
-    for value, (a, b) in zip(base, projected.intervals):
-        if not a <= value <= b:
-            raise ValueError(f"base coordinate {value} outside [{a}, {b}]")
-    lo, hi = box.interval(k)
-    return count_real_roots(p.restrict_to_line(k, base), lo, hi)
-
-
 def _scaled(x: Fraction, scale: int) -> int:
     """x * scale for a scale that x's denominator divides."""
     return x.numerator * (scale // x.denominator)
@@ -372,8 +354,8 @@ class _AxisLines:
 
     Line i has N_b = low_b + width_b * multiplier_b(i): the multiplier is
     2j + 1 for the j-th midpoint of grid:n (the last base axis varies
-    fastest), and the top 53 bits of `mix64` for Monte Carlo, as in
-    `unit_fraction`.
+    fastest), and the top UNIT_BITS bits of `mix64_array` for Monte Carlo.
+    A 1-dimensional box has one line, with an empty base.
     """
 
     def __init__(self, p: Polynomial, box: Box, k: int, scheme: Scheme):
@@ -414,7 +396,7 @@ class _AxisLines:
 
     def numerators(self, multipliers: np.ndarray) -> np.ndarray:
         """int64 base numerators of the lines, for spans that `fits`."""
-        lows, widths = (np.array(column, dtype=np.int64) for column in zip(*self.spans))
+        lows, widths = np.array(self.spans, dtype=np.int64).reshape(-1, 2).T
         return lows[:, None] + multipliers * widths[:, None]
 
     def exact_counts(self, multipliers: np.ndarray) -> np.ndarray:
@@ -461,13 +443,6 @@ def _slab_counts(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, st
         yield lines.batch_counts(lines.multipliers(first, min(first + _SLAB_LINES, stop)))
 
 
-def _line_counts(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, stop: int):
-    """Distinct-root counts (None for a line inside the zero set) of lines start..stop-1."""
-    for counts in _slab_counts(p, box, k, scheme, start, stop):
-        for count in counts.tolist():
-            yield None if count < 0 else count
-
-
 def _count_range(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, stop: int):
     """(sum of finite counts, number of lines inside the zero set) over lines start..stop-1."""
     total = 0
@@ -497,18 +472,6 @@ def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> Ax
     """Estimate of the axis-k integral of per-line root counts over the base box."""
     _check_estimator_input(p, box)
     p._check_axis(k)
-    if box.dimension == 1:
-        # The base space is a point: the "integral" is the single line count.
-        outcome = line_count(p, box, 1, ())
-        exact = Fraction(outcome.count if not outcome.identically_zero else 0)
-        return AxisEstimate(
-            axis=k,
-            estimate=float(exact),
-            error_halfwidth=0.0,
-            degenerate_lines_hit=1 if outcome.identically_zero else 0,
-            exact=exact,
-        )
-
     projected = box.project(k)
     n_points = _lines_per_axis(box, scheme)
     total, degenerate = _count_range(p, box, k, scheme, 0, n_points)
@@ -516,7 +479,7 @@ def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> Ax
         n = scheme.points_per_axis
         cell_volume = projected.volume / n_points
         exact = total * cell_volume
-        spacing = max((b - a) / n for a, b in projected.intervals)
+        spacing = max(((b - a) / n for a, b in projected.intervals), default=0)
         return AxisEstimate(
             axis=k,
             estimate=float(exact),
@@ -527,8 +490,9 @@ def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> Ax
 
     volume = projected.volume
     exact = volume * Fraction(total, n_points)
-    # Hoeffding: the integrand is integer-valued in [0, deg_{x_k} p].
-    spread = p.degree_in(k)
+    # Hoeffding: the integrand is integer-valued in [0, deg_{x_k} p].  A point
+    # base has one line, counted exactly.
+    spread = p.degree_in(k) if projected.dimension else 0
     halfwidth = float(volume) * spread * math.sqrt(
         math.log(2.0 / (1.0 - DEFAULT_CONFIDENCE)) / (2.0 * n_points)
     )

@@ -52,7 +52,7 @@ import numpy as np
 
 from ._exact_sum import ExactSum
 from ._mc_tables import SEGMENTS, TRIANGLES
-from .crofton import Box, error_factor, line_count
+from .crofton import Box, GridScheme, _count_range, error_factor
 from .polynomial import Polynomial, TrivialPolynomialError
 
 EXACT_COUNT = "exact_count"
@@ -390,8 +390,7 @@ def measure_d1(p: Polynomial, box: Box) -> MeasureEstimate:
         raise TrivialPolynomialError("measure estimation requires a nontrivial polynomial")
     if p.dimension != 1 or box.dimension != 1:
         raise ValueError("measure_d1 requires dimension 1")
-    outcome = line_count(p, box, 1, ())
-    count = 0 if outcome.identically_zero else outcome.count
+    count, _ = _count_range(p, box, 1, GridScheme(1), 0, 1)
     return MeasureEstimate(
         value=float(count), method=EXACT_COUNT, resolution=1, cells_with_sign_change=0
     )

@@ -1,14 +1,17 @@
-"""Exact sparse multivariate polynomials over the rationals.
+"""Exact sparse multivariate polynomials over the rationals: parsing and
+coefficient decomposition.
 
 A polynomial in d variables is a map from exponent vectors (length-d tuples
 of nonnegative ints) to nonzero Fraction coefficients:
 
     x1*x2 - 1/4  ->  {(1, 1): Fraction(1), (0, 0): Fraction(-1, 4)}
 
-The zero polynomial is the empty map.  All arithmetic is exact; decimal
-literals in the text form are converted to rationals without rounding
-(0.25 -> 1/4).  Variables are 1-based (x1 .. xd) throughout the public API,
-matching the text syntax.
+The zero polynomial is the empty map.  Decimal literals in the text form are
+converted to rationals without rounding (0.25 -> 1/4).  Variables are
+1-based (x1 .. xd) throughout the public API, matching the text syntax.
+The module neither evaluates nor does arithmetic: the line counter scales
+`coefficients_in` to integer tables, and the mesher evaluates the terms in
+float64.
 
 Polynomials are immutable after construction.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Union
 
 Exponent = tuple[int, ...]
 RationalLike = Union[Fraction, int, str]
@@ -66,25 +69,6 @@ class Polynomial:
         self.dimension = dimension
         self.terms = clean
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, dimension: int) -> "Polynomial":
-        return cls(dimension, {})
-
-    @classmethod
-    def constant(cls, dimension: int, value: RationalLike) -> "Polynomial":
-        return cls(dimension, {(0,) * dimension: value})
-
-    @classmethod
-    def variable(cls, dimension: int, k: int) -> "Polynomial":
-        """The monomial x_k (1-based)."""
-        if not 1 <= k <= dimension:
-            raise ValueError(f"variable index {k} out of range 1..{dimension}")
-        exponents = [0] * dimension
-        exponents[k - 1] = 1
-        return cls(dimension, {tuple(exponents): 1})
-
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -109,52 +93,6 @@ class Polynomial:
         if not 1 <= k <= self.dimension:
             raise ValueError(f"axis {k} out of range 1..{self.dimension}")
 
-    # -- evaluation and restriction ---------------------------------------
-
-    def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        """Exact value at a rational point of length d."""
-        if len(point) != self.dimension:
-            raise ValueError(f"point has length {len(point)}, expected {self.dimension}")
-        values = [_coerce(v) for v in point]
-        total = Fraction(0)
-        for exponents, coefficient in self.terms.items():
-            term = coefficient
-            for value, e in zip(values, exponents):
-                if e:
-                    term *= value**e
-            total += term
-        return total
-
-    def restrict_to_line(self, k: int, base: Sequence[RationalLike]) -> "UnivariatePolynomial":
-        """Restriction to the axis-k line through `base`.
-
-        `base` lists the d-1 frozen coordinates in axis order with axis k
-        skipped; the result is t -> p(base_1, .., t, .., base_{d-1}).  The
-        zero univariate polynomial comes back exactly when the whole line
-        lies in the zero set.
-        """
-        self._check_axis(k)
-        if len(base) != self.dimension - 1:
-            raise ValueError(f"base has length {len(base)}, expected {self.dimension - 1}")
-        values = [_coerce(v) for v in base]
-        coeffs: dict[int, Fraction] = {}
-        for exponents, coefficient in self.terms.items():
-            factor = coefficient
-            jj = 0
-            for j, e in enumerate(exponents):
-                if j == k - 1:
-                    continue
-                if e:
-                    factor *= values[jj] ** e
-                jj += 1
-            if factor:
-                power = exponents[k - 1]
-                coeffs[power] = coeffs.get(power, Fraction(0)) + factor
-        if not coeffs:
-            return UnivariatePolynomial(())
-        top = max(coeffs)
-        return UnivariatePolynomial(tuple(coeffs.get(i, Fraction(0)) for i in range(top + 1)))
-
     def coefficients_in(self, k: int) -> tuple["Polynomial", ...]:
         """Coefficients (q_0, .., q_kappa) of p viewed as a polynomial in x_k.
 
@@ -171,61 +109,6 @@ class Polynomial:
             reduced = exponents[: k - 1] + exponents[k:]
             buckets[exponents[k - 1]][reduced] = coefficient
         return tuple(Polynomial(self.dimension - 1, b) for b in buckets)
-
-    # -- arithmetic (exact, canonical results) -----------------------------
-
-    def _coerce_operand(self, other) -> "Polynomial | None":
-        if isinstance(other, Polynomial):
-            if other.dimension != self.dimension:
-                raise ValueError("dimension mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.dimension, other)
-        return None
-
-    def __add__(self, other) -> "Polynomial":
-        other = self._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for exponents, coefficient in other.terms.items():
-            out[exponents] = out.get(exponents, Fraction(0)) + coefficient
-        return Polynomial(self.dimension, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dimension, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Polynomial":
-        other = self._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Polynomial":
-        other = self._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return Polynomial(self.dimension, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(self.dimension, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -262,109 +145,6 @@ class Polynomial:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-class UnivariatePolynomial:
-    """Dense univariate polynomial; coefficients[i] multiplies t**i.
-
-    The trailing coefficient is nonzero unless the polynomial is zero
-    (empty tuple).
-    """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        coeffs = [_coerce(c) for c in coefficients]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coefficients = tuple(coeffs)
-
-    @classmethod
-    def from_roots(
-        cls, roots: Sequence[RationalLike], multiplicities: Sequence[int] | None = None
-    ) -> "UnivariatePolynomial":
-        """Monic polynomial with the given roots (and multiplicities)."""
-        if multiplicities is None:
-            multiplicities = [1] * len(roots)
-        out = cls((1,))
-        for root, m in zip(roots, multiplicities):
-            factor = cls((-_coerce(root), 1))
-            for _ in range(m):
-                out = out * factor
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    @property
-    def degree(self) -> int:
-        if self.is_zero:
-            raise TrivialPolynomialError("degree of the zero polynomial is undefined")
-        return len(self.coefficients) - 1
-
-    def evaluate(self, x: RationalLike) -> Fraction:
-        x = _coerce(x)
-        total = Fraction(0)
-        for c in reversed(self.coefficients):
-            total = total * x + c
-        return total
-
-    def derivative(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial(
-            tuple(i * c for i, c in enumerate(self.coefficients))[1:]
-        )
-
-    def __add__(self, other) -> "UnivariatePolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = UnivariatePolynomial((other,))
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        n = max(len(self.coefficients), len(other.coefficients))
-        a = list(self.coefficients) + [Fraction(0)] * (n - len(self.coefficients))
-        for i, c in enumerate(other.coefficients):
-            a[i] += c
-        return UnivariatePolynomial(a)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other) -> "UnivariatePolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = UnivariatePolynomial((other,))
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "UnivariatePolynomial":
-        return (-self) + other
-
-    def __mul__(self, other) -> "UnivariatePolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = UnivariatePolynomial((other,))
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UnivariatePolynomial(())
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return UnivariatePolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"UnivariatePolynomial({self.coefficients!r})"
 
 
 # ---------------------------------------------------------------------------

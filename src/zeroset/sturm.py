@@ -1,51 +1,26 @@
-"""Certified counting of distinct real roots on an interval.
+"""Certified counting of distinct real roots of an integer polynomial on an interval.
 
 Counts are exact and count each distinct root once, in the closed interval.
 Everything lives in Z[t]: `count_int_roots` takes an integer coefficient
-list and an interval with integer numerator/denominator endpoints, and
-`count_real_roots` scales a rational polynomial to such a list.  A constant
-is decided at once.  From degree 1 on, one Sturm remainder sequence is built
-with pseudo-divisions, dividing out integer content at each step, so every
-element is a *positive* rational multiple of the classical chain element:
-the same sign variations, no fraction blow-up.  The sequence ends in
-gcd(p, p'); only when that is not constant is the chain rebuilt on the
+list and an interval with integer numerator/denominator endpoints.  A
+constant is decided at once.  From degree 1 on, one Sturm remainder sequence
+is built with pseudo-divisions, dividing out integer content at each step,
+so every element is a *positive* rational multiple of the classical chain
+element: the same sign variations, no fraction blow-up.  The sequence ends
+in gcd(p, p'); only when that is not constant is the chain rebuilt on the
 square-free part p / gcd(p, p').
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
-
-from .polynomial import UnivariatePolynomial
 
 # Integer polynomial: coefficient list, index = power, last entry nonzero
 # (empty list = zero polynomial).
 IntPoly = list[int]
 # Exact rational point as (numerator, denominator), denominator positive.
 Ratio = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class RootCount:
-    """Per-line outcome: a finite distinct-root count, or a line inside the zero set."""
-
-    count: int | None = None
-
-    @classmethod
-    def finite(cls, count: int) -> "RootCount":
-        if count < 0:
-            raise ValueError("root count cannot be negative")
-        return cls(count)
-
-    @property
-    def identically_zero(self) -> bool:
-        return self.count is None
-
-
-IDENTICALLY_ZERO = RootCount(None)
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +99,6 @@ def _exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return _strip(q)
 
 
-def _to_int_poly(u: UnivariatePolynomial) -> IntPoly:
-    """Scale to integer coefficients (positive factor; same roots and signs)."""
-    if u.is_zero:
-        return []
-    lcm = 1
-    for c in u.coefficients:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c.numerator * (lcm // c.denominator)) for c in u.coefficients]
-
-
 def _sign_at(c: IntPoly, x: Ratio) -> int:
     """Sign of c evaluated at x = num/den, via homogenized integer Horner."""
     num, den = x
@@ -189,13 +154,6 @@ def _variations_at(chain: list[IntPoly], x: Ratio) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo >= hi:
-        raise ValueError(f"malformed interval [{lo}, {hi}]")
-    return lo, hi
-
-
 def count_int_roots(c: IntPoly, lo: Ratio, hi: Ratio) -> int | None:
     """Number of distinct real roots of c in the closed interval [lo, hi].
 
@@ -211,14 +169,3 @@ def count_int_roots(c: IntPoly, lo: Ratio, hi: Ratio) -> int | None:
     chain = _int_chain(c[:n])
     at_root = _sign_at(chain[0], lo) == 0
     return _variations_at(chain, lo) - _variations_at(chain, hi) + at_root
-
-
-def count_real_roots(u: UnivariatePolynomial, lo, hi) -> RootCount:
-    """Number of distinct real roots of u in the closed interval [lo, hi].
-
-    The zero polynomial yields IDENTICALLY_ZERO.  The count is the Sturm
-    variation difference on (lo, hi] plus an exact check of u(lo) = 0.
-    """
-    lo, hi = _check_interval(lo, hi)
-    count = count_int_roots(_to_int_poly(u), lo.as_integer_ratio(), hi.as_integer_ratio())
-    return IDENTICALLY_ZERO if count is None else RootCount.finite(count)

@@ -1,23 +1,369 @@
-"""Independent oracles and corpus generators shared by the test modules.
+"""Oracles, reference code and corpus generators shared by the test modules.
 
-Everything here deliberately avoids the library code paths it is used to
-check: evaluation is re-implemented term by term, planted-root polynomials
-are expanded by direct convolution, and arc lengths come from 1-D
-quadrature.
+The oracles deliberately avoid the library code paths they check:
+evaluation is re-implemented term by term, planted-root polynomials are
+expanded by direct convolution, and arc lengths come from 1-D quadrature.
+The exact reference for per-line counts lives here too: restriction to an
+axis line in `Fraction` arithmetic, its root count (`count_real_roots`,
+which scales to integers for the library's `count_int_roots` but skips its
+float filter), and the scalar splitmix64 draws that the library computes
+in NumPy batches.  `Poly` adds exact ring arithmetic to `Polynomial` for
+building test inputs.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterable, Sequence
 
-from zeroset import Polynomial, UnivariatePolynomial
+from zeroset import Box, Polynomial, TrivialPolynomialError, parse_polynomial
+from zeroset.crofton import _slab_counts
+from zeroset.polynomial import RationalLike, _coerce
+from zeroset.sturm import IntPoly, count_int_roots
+
+
+# ---------------------------------------------------------------------------
+# Exact polynomial arithmetic, evaluation and restriction
+# ---------------------------------------------------------------------------
+
+
+class Poly(Polynomial):
+    """Polynomial with exact ring arithmetic; every result is a canonical Poly."""
+
+    __slots__ = ()
+
+    @classmethod
+    def parse(cls, text: str, dimension: int) -> "Poly":
+        return cls(dimension, parse_polynomial(text, dimension).terms)
+
+    @classmethod
+    def zero(cls, dimension: int) -> "Poly":
+        return cls(dimension, {})
+
+    @classmethod
+    def constant(cls, dimension: int, value: RationalLike) -> "Poly":
+        return cls(dimension, {(0,) * dimension: value})
+
+    @classmethod
+    def variable(cls, dimension: int, k: int) -> "Poly":
+        """The monomial x_k (1-based)."""
+        if not 1 <= k <= dimension:
+            raise ValueError(f"variable index {k} out of range 1..{dimension}")
+        exponents = [0] * dimension
+        exponents[k - 1] = 1
+        return cls(dimension, {tuple(exponents): 1})
+
+    def _coerce_operand(self, other) -> "Polynomial | None":
+        if isinstance(other, Polynomial):
+            if other.dimension != self.dimension:
+                raise ValueError("dimension mismatch")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Poly.constant(self.dimension, other)
+        return None
+
+    def __add__(self, other) -> "Poly":
+        other = self._coerce_operand(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for exponents, coefficient in other.terms.items():
+            out[exponents] = out.get(exponents, Fraction(0)) + coefficient
+        return Poly(self.dimension, out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Poly":
+        return Poly(self.dimension, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> "Poly":
+        other = self._coerce_operand(other)
+        if other is None:
+            return NotImplemented
+        return self + Poly(self.dimension, {e: -c for e, c in other.terms.items()})
+
+    def __rsub__(self, other) -> "Poly":
+        return (-self) + other
+
+    def __mul__(self, other) -> "Poly":
+        other = self._coerce_operand(other)
+        if other is None:
+            return NotImplemented
+        out: dict = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, Fraction(0)) + ca * cb
+        return Poly(self.dimension, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "Poly":
+        if n < 0:
+            raise ValueError("negative power")
+        out = Poly.constant(self.dimension, 1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+def evaluate(p: Polynomial, point: Sequence[RationalLike]) -> Fraction:
+    """Exact value of p at a rational point of length d."""
+    if len(point) != p.dimension:
+        raise ValueError(f"point has length {len(point)}, expected {p.dimension}")
+    values = [_coerce(v) for v in point]
+    total = Fraction(0)
+    for exponents, coefficient in p.terms.items():
+        term = coefficient
+        for value, e in zip(values, exponents):
+            if e:
+                term *= value**e
+        total += term
+    return total
+
+
+def restrict_to_line(p: Polynomial, k: int, base: Sequence[RationalLike]) -> "UnivariatePolynomial":
+    """Restriction of p to the axis-k line through `base`.
+
+    `base` lists the d-1 frozen coordinates in axis order with axis k
+    skipped; the result is t -> p(base_1, .., t, .., base_{d-1}).  The
+    zero univariate polynomial comes back exactly when the whole line
+    lies in the zero set.
+    """
+    p._check_axis(k)
+    if len(base) != p.dimension - 1:
+        raise ValueError(f"base has length {len(base)}, expected {p.dimension - 1}")
+    values = [_coerce(v) for v in base]
+    coeffs: dict[int, Fraction] = {}
+    for exponents, coefficient in p.terms.items():
+        factor = coefficient
+        jj = 0
+        for j, e in enumerate(exponents):
+            if j == k - 1:
+                continue
+            if e:
+                factor *= values[jj] ** e
+            jj += 1
+        if factor:
+            power = exponents[k - 1]
+            coeffs[power] = coeffs.get(power, Fraction(0)) + factor
+    if not coeffs:
+        return UnivariatePolynomial(())
+    top = max(coeffs)
+    return UnivariatePolynomial(tuple(coeffs.get(i, Fraction(0)) for i in range(top + 1)))
+
+
+class UnivariatePolynomial:
+    """Dense univariate polynomial; coefficients[i] multiplies t**i.
+
+    The trailing coefficient is nonzero unless the polynomial is zero
+    (empty tuple).
+    """
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: Iterable[RationalLike] = ()):
+        coeffs = [_coerce(c) for c in coefficients]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coefficients = tuple(coeffs)
+
+    @classmethod
+    def from_roots(
+        cls, roots: Sequence[RationalLike], multiplicities: Sequence[int] | None = None
+    ) -> "UnivariatePolynomial":
+        """Monic polynomial with the given roots (and multiplicities)."""
+        if multiplicities is None:
+            multiplicities = [1] * len(roots)
+        out = cls((1,))
+        for root, m in zip(roots, multiplicities):
+            factor = cls((-_coerce(root), 1))
+            for _ in range(m):
+                out = out * factor
+        return out
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coefficients
+
+    @property
+    def degree(self) -> int:
+        if self.is_zero:
+            raise TrivialPolynomialError("degree of the zero polynomial is undefined")
+        return len(self.coefficients) - 1
+
+    def evaluate(self, x: RationalLike) -> Fraction:
+        x = _coerce(x)
+        total = Fraction(0)
+        for c in reversed(self.coefficients):
+            total = total * x + c
+        return total
+
+    def derivative(self) -> "UnivariatePolynomial":
+        return UnivariatePolynomial(
+            tuple(i * c for i, c in enumerate(self.coefficients))[1:]
+        )
+
+    def __add__(self, other) -> "UnivariatePolynomial":
+        if isinstance(other, (int, Fraction)):
+            other = UnivariatePolynomial((other,))
+        if not isinstance(other, UnivariatePolynomial):
+            return NotImplemented
+        n = max(len(self.coefficients), len(other.coefficients))
+        a = list(self.coefficients) + [Fraction(0)] * (n - len(self.coefficients))
+        for i, c in enumerate(other.coefficients):
+            a[i] += c
+        return UnivariatePolynomial(a)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "UnivariatePolynomial":
+        return UnivariatePolynomial(tuple(-c for c in self.coefficients))
+
+    def __sub__(self, other) -> "UnivariatePolynomial":
+        if isinstance(other, (int, Fraction)):
+            other = UnivariatePolynomial((other,))
+        if not isinstance(other, UnivariatePolynomial):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "UnivariatePolynomial":
+        return (-self) + other
+
+    def __mul__(self, other) -> "UnivariatePolynomial":
+        if isinstance(other, (int, Fraction)):
+            other = UnivariatePolynomial((other,))
+        if not isinstance(other, UnivariatePolynomial):
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return UnivariatePolynomial(())
+        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
+        for i, a in enumerate(self.coefficients):
+            for j, b in enumerate(other.coefficients):
+                out[i + j] += a * b
+        return UnivariatePolynomial(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UnivariatePolynomial):
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"UnivariatePolynomial({self.coefficients!r})"
+
+
+# ---------------------------------------------------------------------------
+# Reference root counts per line
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RootCount:
+    """Per-line outcome: a finite distinct-root count, or a line inside the zero set."""
+
+    count: int | None = None
+
+    @classmethod
+    def finite(cls, count: int) -> "RootCount":
+        if count < 0:
+            raise ValueError("root count cannot be negative")
+        return cls(count)
+
+    @property
+    def identically_zero(self) -> bool:
+        return self.count is None
+
+
+IDENTICALLY_ZERO = RootCount(None)
+
+
+def _to_int_poly(u: UnivariatePolynomial) -> IntPoly:
+    """Scale to integer coefficients (positive factor; same roots and signs)."""
+    if u.is_zero:
+        return []
+    lcm = 1
+    for c in u.coefficients:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    return [int(c.numerator * (lcm // c.denominator)) for c in u.coefficients]
+
+
+def _check_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi:
+        raise ValueError(f"malformed interval [{lo}, {hi}]")
+    return lo, hi
+
+
+def count_real_roots(u: UnivariatePolynomial, lo, hi) -> RootCount:
+    """Number of distinct real roots of u in the closed interval [lo, hi].
+
+    The zero polynomial yields IDENTICALLY_ZERO.  The count is the Sturm
+    variation difference on (lo, hi] plus an exact check of u(lo) = 0.
+    """
+    lo, hi = _check_interval(lo, hi)
+    count = count_int_roots(_to_int_poly(u), lo.as_integer_ratio(), hi.as_integer_ratio())
+    return IDENTICALLY_ZERO if count is None else RootCount.finite(count)
+
+
+def line_count(p: Polynomial, box: Box, k: int, base: Sequence[RationalLike]) -> RootCount:
+    """Distinct roots of p along the axis-k line through `base`, inside the box."""
+    if p.is_trivial:
+        raise TrivialPolynomialError("line counts require a nontrivial polynomial")
+    if p.dimension != box.dimension:
+        raise ValueError("polynomial and box dimensions differ")
+    projected = box.project(k)
+    base = [_coerce(v) for v in base]
+    if len(base) != projected.dimension:
+        raise ValueError(f"base has length {len(base)}, expected {projected.dimension}")
+    for value, (a, b) in zip(base, projected.intervals):
+        if not a <= value <= b:
+            raise ValueError(f"base coordinate {value} outside [{a}, {b}]")
+    lo, hi = box.interval(k)
+    return count_real_roots(restrict_to_line(p, k, base), lo, hi)
+
+
+def line_counts(p: Polynomial, box: Box, k: int, scheme, start: int, stop: int):
+    """The library's counts of lines start..stop-1, None for a line inside the zero set."""
+    for counts in _slab_counts(p, box, k, scheme, start, stop):
+        for count in counts.tolist():
+            yield None if count < 0 else count
+
+
+# ---------------------------------------------------------------------------
+# Scalar Monte Carlo draws
+# ---------------------------------------------------------------------------
+
+_MASK = (1 << 64) - 1
+
+
+def mix64(seed: int, counter: int) -> int:
+    """splitmix64 hash of (seed, counter), in Python integers."""
+    z = (seed + (counter + 1) * 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return (z ^ (z >> 31)) & _MASK
+
+
+def unit_fraction(seed: int, counter: int) -> Fraction:
+    """Dyadic rational in [0, 1) with 53 random bits: the Monte Carlo draw (seed, counter)."""
+    return Fraction(mix64(seed, counter) >> (64 - 53), 1 << 53)
+
+
+# ---------------------------------------------------------------------------
+# Corpora and independent oracles
+# ---------------------------------------------------------------------------
 
 
 def naive_evaluate(p: Polynomial, point) -> Fraction:
-    """Term-by-term evaluation, written independently of Polynomial.evaluate."""
+    """Term-by-term evaluation, written independently of `evaluate`."""
     total = Fraction(0)
     for exponents, coefficient in p.terms.items():
         term = Fraction(coefficient)
@@ -34,14 +380,14 @@ def random_rational(rng: random.Random, num=8, den=4) -> Fraction:
 
 def random_polynomial(
     rng: random.Random, dimension: int, max_degree: int, max_terms: int = 6
-) -> Polynomial:
-    """Random nontrivial sparse polynomial, degree <= max_degree per variable."""
+) -> Poly:
+    """Random nontrivial sparse Poly, degree <= max_degree per variable."""
     while True:
         terms = {}
         for _ in range(rng.randint(1, max_terms)):
             e = tuple(rng.randint(0, max_degree) for _ in range(dimension))
             terms[e] = random_rational(rng)
-        p = Polynomial(dimension, terms)
+        p = Poly(dimension, terms)
         if not p.is_trivial:
             return p
 
@@ -128,14 +474,14 @@ def swap_axes(p: Polynomial) -> Polynomial:
 
 def shift(p: Polynomial, offsets) -> Polynomial:
     """q(x) = p(x - offsets), by exact binomial expansion."""
-    out = Polynomial.zero(p.dimension)
+    out = Poly.zero(p.dimension)
     for exponents, coefficient in p.terms.items():
-        term = Polynomial.constant(p.dimension, coefficient)
+        term = Poly.constant(p.dimension, coefficient)
         for j, ej in enumerate(exponents):
-            var = Polynomial.variable(p.dimension, j + 1)
-            factor = Polynomial.zero(p.dimension)
+            var = Poly.variable(p.dimension, j + 1)
+            factor = Poly.zero(p.dimension)
             for i in range(ej + 1):
-                factor = factor + comb(ej, i) * (var**i) * Polynomial.constant(
+                factor = factor + comb(ej, i) * (var**i) * Poly.constant(
                     p.dimension, (-Fraction(offsets[j])) ** (ej - i)
                 )
             term = term * factor

@@ -13,9 +13,7 @@ from zeroset import (
     Box,
     GridScheme,
     Polynomial,
-    count_real_roots,
     crofton_upper_estimate,
-    line_count,
     marching_cubes_area,
     marching_squares_length,
     parse_polynomial,
@@ -24,7 +22,13 @@ from zeroset import (
 )
 from zeroset.cli import main as cli_main
 
-from oracles import arc_length_oracle, planted_univariate, random_polynomial
+from oracles import (
+    arc_length_oracle,
+    count_real_roots,
+    line_count,
+    planted_univariate,
+    random_polynomial,
+)
 
 # Reference areas for x1*x2*x3 = 1/n on the unit cube, recorded from an
 # N=256 marching-cubes run and cross-checked against 2-D quadrature of the

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import multiprocessing.process
@@ -294,6 +295,37 @@ class TestReports:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["results"]["theorem_bound"] == "1"
+
+
+# (3t + 5)(t + 1/4)(t - 1/2)^2 (t - 1): on [-1/4, 1] a double root inside and
+# a root on each end, three in all.
+_D1_POLY = "3*x1^5 - 1/4*x1^4 - 13/2*x1^3 + 63/16*x1^2 + 1/8*x1 - 5/16"
+
+
+class TestDimensionOne:
+    @pytest.mark.parametrize(
+        "command, extra, digest",
+        [
+            ("report", [], "3e57703f43cc4075d1b5b4e9e07861ac47c35630b4620a3f5105774801aa2ffe"),
+            ("crofton", ["--scheme", "mc:50"],
+             "bf96a9ae527f07c8d2b417c8e73a8aca1dc1ee5dac644146e550943432b564e0"),
+            ("measure", [], "e8e6b85467df734c574d7f6ec69dd0953c0265cdee132b5d7a54f27e20b0c041"),
+        ],
+        ids=["report", "crofton-mc", "measure"],
+    )
+    def test_reports_pinned(self, capsys, command, extra, digest):
+        # SHA-256 of the exact stdout bytes, recorded when d = 1 had its own
+        # Fraction-based line count; the batch counter must reproduce them.
+        argv = [command, "--poly", _D1_POLY, "--dim", "1", "--box=-1/4,1", *extra]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+        results = json.loads(out)["results"]
+        if command != "measure":
+            axis = results["crofton"]["per_axis"][0]
+            assert (axis["estimate"], axis["error_halfwidth"]) == (3.0, 0.0)
+        if command != "crofton":
+            assert results["measure"]["value"] == 3.0
 
 
 class TestDeterminism:

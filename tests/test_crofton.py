@@ -13,16 +13,29 @@ from zeroset import (
     TrivialPolynomialError,
     crofton_axis_integral,
     crofton_upper_estimate,
-    line_count,
+    measure_d1,
     parse_polynomial,
     theorem_bound,
 )
 from zeroset import cli, crofton
-from zeroset.crofton import _AxisLines, _count_range, _line_counts
-from zeroset.rng import mix64, mix64_array, unit_fraction
-from zeroset.sturm import count_real_roots
+from zeroset.crofton import _AxisLines, _count_range
+from zeroset.rng import mix64_array
 
-from oracles import random_polynomial, scale_vars, shift, swap_axes
+from oracles import (
+    Poly,
+    UnivariatePolynomial,
+    count_real_roots,
+    line_count,
+    line_counts,
+    mix64,
+    planted_univariate,
+    random_polynomial,
+    restrict_to_line,
+    scale_vars,
+    shift,
+    swap_axes,
+    unit_fraction,
+)
 
 UNIT_SQUARE = Box.cube(0, 1, 2)
 BIG_SQUARE = Box.cube(-1, 1, 2)
@@ -81,7 +94,7 @@ class TestTheoremBound:
 
     def test_trivial_rejected(self):
         with pytest.raises(TrivialPolynomialError):
-            theorem_bound(Polynomial.zero(2), UNIT_SQUARE)
+            theorem_bound(Poly.zero(2), UNIT_SQUARE)
 
     def test_non_cube_rejected(self):
         with pytest.raises(ValueError, match="cube"):
@@ -198,7 +211,7 @@ class TestUpperEstimate:
 
     def test_trivial_rejected(self):
         with pytest.raises(TrivialPolynomialError):
-            crofton_upper_estimate(Polynomial.zero(2), UNIT_SQUARE, GridScheme(4))
+            crofton_upper_estimate(Poly.zero(2), UNIT_SQUARE, GridScheme(4))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimensions differ"):
@@ -312,11 +325,11 @@ class TestIntegerLinePath:
         for k in range(1, box.dimension + 1):
             lo, hi = box.interval(k)
             expected = [
-                count_real_roots(p.restrict_to_line(k, base), lo, hi).count
+                count_real_roots(restrict_to_line(p, k, base), lo, hi).count
                 for base in reference_base_points(box, k, scheme)
             ]
             n_points = len(expected)
-            assert list(_line_counts(p, box, k, scheme, 0, n_points)) == expected
+            assert list(line_counts(p, box, k, scheme, 0, n_points)) == expected
             finite = [c for c in expected if c is not None]
             totals = (sum(finite), n_points - len(finite))
             assert _count_range(p, box, k, scheme, 0, n_points) == totals
@@ -341,8 +354,8 @@ class TestIntegerLinePath:
                 self.assert_matches_reference(p, box, scheme)
 
     def planted(self, n):
-        x1 = parse_polynomial("x1", 2)
-        x2 = parse_polynomial("x2", 2)
+        x1 = Poly.parse("x1", 2)
+        x2 = Poly.parse("x2", 2)
         m1 = grid_midpoint(ODD_BOX_2, 1, n, 2)
         m2 = grid_midpoint(ODD_BOX_2, 2, n, 1)
         return {
@@ -369,7 +382,7 @@ class TestIntegerLinePath:
     def test_planted_grid_counts(self):
         n = 5
         planted = self.planted(n)
-        lines = lambda p, k: list(_line_counts(p, ODD_BOX_2, k, GridScheme(n), 0, n))
+        lines = lambda p, k: list(line_counts(p, ODD_BOX_2, k, GridScheme(n), 0, n))
         zeros = planted["zero_lines"]
         assert lines(zeros, 1).count(None) == 1
         assert lines(zeros, 2).count(None) == 1
@@ -429,7 +442,7 @@ class TestBatchedLinePath:
                 for k in range(1, box.dimension + 1):
                     n_points = crofton._lines_per_axis(box, scheme)
                     expected = exact_line_counts(p, box, k, scheme, n_points)
-                    assert list(_line_counts(p, box, k, scheme, 0, n_points)) == expected
+                    assert list(line_counts(p, box, k, scheme, 0, n_points)) == expected
                     finite = [c for c in expected if c is not None]
                     totals = (sum(finite), n_points - len(finite))
                     middle = n_points // 2 + 1
@@ -495,20 +508,20 @@ class TestFilterDeferral:
         scheme = MonteCarloScheme(8, seed=21)
         box = Box.cube(0, 1, 2)
         for i, (c,) in enumerate(reference_base_points(box, 1, scheme)):
-            p = parse_polynomial("x1 + 3*x2^3 - x2^2", 2) - (3 * c**3 - c**2)
+            p = Poly.parse("x1 + 3*x2^3 - x2^2", 2) - (3 * c**3 - c**2)
             counts, deferred, exact = filter_verdicts(p, box, 1, scheme, 8)
             assert deferred[i]
             assert exact[i] == 1
-            assert list(_line_counts(p, box, 1, scheme, 0, 8))[i] == 1
+            assert list(line_counts(p, box, 1, scheme, 0, 8))[i] == 1
 
     def test_grid_sum_past_2_53_is_bounded(self):
         # On grid:4 the axis-1 line x2 = 3/8 has its root at x1 = 0.  The two
         # terms of q_0, near 3 * 2**56, are not float64 integers, so their
         # float sum is 32 where the exact one is 0.
-        p = parse_polynomial("x1", 2) - (2**53 + 1) * (parse_polynomial("x2", 2) - Fraction(3, 8))
+        p = Poly.parse("x1", 2) - (2**53 + 1) * (Poly.parse("x2", 2) - Fraction(3, 8))
         counts, deferred, exact = filter_verdicts(p, UNIT_SQUARE, 1, GridScheme(4), 4)
         assert deferred[1] and exact[1] == 1
-        assert list(_line_counts(p, UNIT_SQUARE, 1, GridScheme(4), 0, 4))[1] == 1
+        assert list(line_counts(p, UNIT_SQUARE, 1, GridScheme(4), 0, 4))[1] == 1
 
     def test_overflow_and_nan_are_deferred(self):
         # Powers of a numerator near 2**62 overflow float64: the two terms of
@@ -531,7 +544,7 @@ class TestFilterDeferral:
         p = Polynomial(2, {(1, 1): 10**400, (0, 0): Fraction(-1, 3)})
         lines = _AxisLines(p, UNIT_SQUARE, 1, scheme)
         assert lines.filter is None
-        assert list(_line_counts(p, UNIT_SQUARE, 1, scheme, 0, 70)) == exact_line_counts(
+        assert list(line_counts(p, UNIT_SQUARE, 1, scheme, 0, 70)) == exact_line_counts(
             p, UNIT_SQUARE, 1, scheme, 70
         )
 
@@ -547,7 +560,7 @@ class TestFilterDeferral:
             expected = [
                 int(c >= Fraction(1, 3)) if k == 1 else int(3 * c**300 >= 1) for c in bases
             ]
-            assert list(_line_counts(p, UNIT_SQUARE, k, scheme, 0, 64)) == expected
+            assert list(line_counts(p, UNIT_SQUARE, k, scheme, 0, 64)) == expected
 
 
 _coefficients = st.one_of(
@@ -582,6 +595,44 @@ def test_filter_decides_only_exact_counts(terms, intervals, scheme, k):
     decided = ~deferred
     assert counts[decided].tolist() == exact[decided].tolist()
 
+
+
+_d1_intervals = st.tuples(
+    st.fractions(min_value=-6, max_value=6, max_denominator=8),
+    st.fractions(min_value=Fraction(1, 8), max_value=12, max_denominator=8),
+)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 2**32 - 1),
+    _d1_intervals,
+    st.sampled_from(["repeated roots", "roots on both ends", "perturbed"]),
+    _schemes,
+)
+def test_d1_batch_counter_matches_oracle(seed, interval, case, scheme):
+    """In d = 1 the one line of the batch counter has the Fraction reference's count."""
+    rng = random.Random(seed)
+    u, roots = planted_univariate(rng, max_degree=10, max_multiplicity=3)
+    lo, width = interval
+    hi = lo + width
+    if case == "roots on both ends" and roots:
+        lo = roots[0] if len(roots) == 1 else rng.choice(roots[:-1])
+        hi = rng.choice([r for r in roots if r > lo] or [lo + width])
+    coefficients = list(u.coefficients)
+    if case == "perturbed":
+        i = rng.randrange(len(coefficients))
+        coefficients[i] += Fraction(rng.choice((-1, 1)), 10 ** rng.randint(1, 12))
+    u = UnivariatePolynomial(coefficients)
+    expected = count_real_roots(u, lo, hi).count
+    if case != "perturbed":
+        assert expected == sum(1 for r in roots if lo <= r <= hi)
+    p = Polynomial(1, {(i,): c for i, c in enumerate(u.coefficients)})
+    box = Box([(lo, hi)])
+    estimate = crofton_axis_integral(p, box, 1, scheme)
+    assert estimate.exact == expected
+    assert (estimate.error_halfwidth, estimate.degenerate_lines_hit) == (0.0, 0)
+    assert measure_d1(p, box).value == expected
 
 # Exact metamorphic relations of the per-axis integrals on non-cube boxes.
 # Estimates are exact rationals, so each relation holds with ==.

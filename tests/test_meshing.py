@@ -16,7 +16,6 @@ from zeroset import (
     GridScheme,
     Polynomial,
     TrivialPolynomialError,
-    UnivariatePolynomial,
     crofton_upper_estimate,
     marching_cubes_area,
     marching_squares_length,
@@ -30,7 +29,10 @@ from zeroset import (
 from zeroset._mc_tables import SEGMENTS, TRIANGLES
 
 from oracles import (
+    Poly,
+    UnivariatePolynomial,
     arc_length_oracle,
+    evaluate,
     naive_evaluate,
     random_polynomial,
     scale_vars,
@@ -66,7 +68,7 @@ class TestMeasureD1:
 
     def test_trivial_rejected(self):
         with pytest.raises(TrivialPolynomialError):
-            measure_d1(Polynomial.zero(1), Box.cube(0, 1, 1))
+            measure_d1(Poly.zero(1), Box.cube(0, 1, 1))
 
 
 class TestMarchingSquares:
@@ -114,7 +116,7 @@ class TestMarchingSquares:
         with pytest.raises(ValueError):
             marching_squares_length(p, Box.cube(0, 1, 3), 8)
         with pytest.raises(TrivialPolynomialError):
-            marching_squares_length(Polynomial.zero(2), UNIT_SQUARE, 8)
+            marching_squares_length(Poly.zero(2), UNIT_SQUARE, 8)
 
 
 # Marching-squares outputs recorded before the classifier was restricted to
@@ -218,7 +220,7 @@ class TestMarchingCubes:
         n = 17
         nodes = [Fraction(2 * i - n, n) for i in range(n + 1)]
         negative = np.array(
-            [[[p.evaluate((a, b, c)) < 0 for c in nodes] for b in nodes] for a in nodes]
+            [[[evaluate(p, (a, b, c)) < 0 for c in nodes] for b in nodes] for a in nodes]
         )
         ambiguous = 0
         for u, v in ((0, 1), (0, 2), (1, 2)):

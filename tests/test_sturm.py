@@ -6,11 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from zeroset import IDENTICALLY_ZERO, UnivariatePolynomial, count_real_roots
-
 from zeroset.sturm import _int_chain, _variations_at, count_int_roots
 
-from oracles import bisection_root_count, expand_factors, planted_univariate
+from oracles import (
+    IDENTICALLY_ZERO,
+    UnivariatePolynomial,
+    bisection_root_count,
+    count_real_roots,
+    expand_factors,
+    planted_univariate,
+)
 
 
 def _ratio(x, k=1) -> tuple[int, int]:
