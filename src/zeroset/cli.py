@@ -32,14 +32,7 @@ from .crofton import (
     theorem_bound,
 )
 from .experiment import ExperimentRow, check_sharpness, sharpness_experiment
-from .meshing import (
-    MeasureEstimate,
-    check_resolution,
-    marching_cubes_area,
-    marching_squares_length,
-    measure_d1,
-    write_mesh_csv,
-)
+from .meshing import MeasureEstimate, check_resolution, measure, write_mesh_csv
 from .polynomial import Polynomial, TrivialPolynomialError, parse_polynomial
 
 EXIT_OK = 0
@@ -282,9 +275,9 @@ def _flatten_for_csv(results: dict) -> tuple[list[str], list[list]]:
             ]
             row += [e["estimate"], e["error_halfwidth"], e["degenerate_lines_hit"]]
     if "measure" in results:
-        measure = results["measure"]
+        estimate = results["measure"]
         header += ["measure_value", "measure_method", "measure_resolution"]
-        row += [measure["value"], measure["method"], measure["resolution"]]
+        row += [estimate["value"], estimate["method"], estimate["resolution"]]
     return header, [row]
 
 
@@ -293,20 +286,10 @@ def _flatten_for_csv(results: dict) -> tuple[list[str], list[list]]:
 # ---------------------------------------------------------------------------
 
 
-def _measure_estimate(
-    p: Polynomial, config: RunConfig, keep_mesh: bool = False
-) -> MeasureEstimate:
-    if config.dimension == 1:
-        return measure_d1(p, config.box)
-    if config.dimension == 2:
-        return marching_squares_length(p, config.box, config.resolution, keep_mesh=keep_mesh)
-    return marching_cubes_area(p, config.box, config.resolution, keep_mesh=keep_mesh)
-
-
 def _dump_mesh(p: Polynomial, config: RunConfig, estimate: MeasureEstimate | None) -> None:
     """Write the mesh kept by `estimate`, or mesh now when the run measured nothing."""
     if estimate is None:
-        estimate = _measure_estimate(p, config, keep_mesh=True)
+        estimate = measure(p, config.box, config.resolution, keep_mesh=True)
     with open(config.dump_mesh, "w") as stream:
         write_mesh_csv(stream, estimate.mesh, config.dimension)
 
@@ -330,7 +313,7 @@ def _execute(config: RunConfig, p: Polynomial | None) -> dict:
         results["crofton"] = _crofton_dict(crofton)
     estimate = None
     if config.command in ("measure", "report") and config.dimension <= 3:
-        estimate = _measure_estimate(p, config, keep_mesh=bool(config.dump_mesh))
+        estimate = measure(p, config.box, config.resolution, keep_mesh=bool(config.dump_mesh))
         results["measure"] = _measure_dict(estimate)
     if config.dump_mesh:
         _dump_mesh(p, config, estimate)

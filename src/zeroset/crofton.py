@@ -176,7 +176,6 @@ class CroftonResult:
     per_axis: tuple[AxisEstimate, ...]
     total: float
     total_error_halfwidth: float
-    theorem_bound: Fraction | None
     total_exact: Fraction | None = None
 
 
@@ -506,17 +505,15 @@ def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> Ax
 
 
 def crofton_upper_estimate(p: Polynomial, box: Box, scheme: Scheme) -> CroftonResult:
-    """Sum over axes of the per-line count integrals, plus the cube bound when it applies."""
+    """Sum over axes of the per-line count integrals."""
     _check_estimator_input(p, box)
     per_axis = tuple(
         crofton_axis_integral(p, box, k, scheme) for k in range(1, box.dimension + 1)
     )
     total_exact = sum((e.exact for e in per_axis), Fraction(0))
-    bound = theorem_bound(p, box) if box.is_cube else None
     return CroftonResult(
         per_axis=per_axis,
         total=math.fsum(e.estimate for e in per_axis),
         total_error_halfwidth=math.fsum(e.error_halfwidth for e in per_axis),
-        theorem_bound=bound,
         total_exact=total_exact,
     )

@@ -4,7 +4,7 @@ The family x1*x2*...*xd - 1/n on the unit cube has degree sum d for every n,
 and the measure of its zero set inside the cube approaches d as n grows, so
 the bound's constant cannot be improved.  Each experiment row records the
 bound, the line-count integral estimate, and (for d <= 3) the direct
-meshing estimate for one value of n.
+measure from `meshing.measure` for one value of n.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .crofton import Box, Scheme, crofton_upper_estimate, theorem_bound
-from .meshing import check_resolution, marching_cubes_area, marching_squares_length
+from .meshing import check_resolution, measure
 from .polynomial import Polynomial
 
 
@@ -69,12 +69,7 @@ def sharpness_experiment(
         p = sharpness_polynomial(dimension, n)
         bound = theorem_bound(p, cube)  # equals dimension exactly
         crofton = crofton_upper_estimate(p, cube, scheme)
-        if dimension == 2:
-            direct = marching_squares_length(p, cube, resolution).value
-        elif dimension == 3:
-            direct = marching_cubes_area(p, cube, resolution).value
-        else:
-            direct = None
+        direct = measure(p, cube, resolution).value if dimension <= 3 else None
         estimates = [crofton.total] + ([direct] if direct is not None else [])
         rows.append(
             ExperimentRow(

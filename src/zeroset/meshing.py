@@ -1,6 +1,7 @@
-"""Direct measure estimates for a polynomial zero set: exact root counts in
-d=1, and one table-driven marching kernel for d=2 and d=3, which sums
-segment lengths (marching squares) or triangle areas (marching cubes).
+"""Direct measure estimates for a polynomial zero set, through one entry,
+`measure`, for d = 1..3, plus mesh dumps: an exact root count in d=1, and
+one table-driven marching kernel for d=2 and d=3, which sums segment lengths
+(marching squares) or triangle areas (marching cubes).
 
 Vertex values are computed in double precision from the exact polynomial.
 An exact zero at a grid vertex counts as positive, so the sign predicate is
@@ -55,9 +56,8 @@ from ._mc_tables import SEGMENTS, TRIANGLES
 from .crofton import Box, GridScheme, _count_range, error_factor
 from .polynomial import Polynomial, TrivialPolynomialError
 
-EXACT_COUNT = "exact_count"
-MARCHING_SQUARES = "marching_squares"
-MARCHING_CUBES = "marching_cubes"
+# The method each dimension's estimate reports.
+_METHODS = {1: "exact_count", 2: "marching_squares", 3: "marching_cubes"}
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,6 @@ class MeasureEstimate:
     cells_with_sign_change: int
     # The extracted segments (d=2) or triangles (d=3), when the call kept them.
     mesh: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
-def _check_input(p: Polynomial, box: Box, dimension: int, resolution: int) -> None:
-    if p.is_trivial:
-        raise TrivialPolynomialError("measure estimation requires a nontrivial polynomial")
-    if p.dimension != box.dimension:
-        raise ValueError("polynomial and box dimensions differ")
-    if box.dimension != dimension:
-        raise ValueError(f"expected a {dimension}-dimensional box, got {box.dimension}")
-    check_resolution(resolution)
 
 
 def check_resolution(resolution: int) -> None:
@@ -380,23 +370,6 @@ def _crossed_cells(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# d = 1: exact root count
-# ---------------------------------------------------------------------------
-
-
-def measure_d1(p: Polynomial, box: Box) -> MeasureEstimate:
-    """Distinct-root count in the interval, reported as a real (exact)."""
-    if p.is_trivial:
-        raise TrivialPolynomialError("measure estimation requires a nontrivial polynomial")
-    if p.dimension != 1 or box.dimension != 1:
-        raise ValueError("measure_d1 requires dimension 1")
-    count, _ = _count_range(p, box, 1, GridScheme(1), 0, 1)
-    return MeasureEstimate(
-        value=float(count), method=EXACT_COUNT, resolution=1, cells_with_sign_change=0
-    )
-
-
-# ---------------------------------------------------------------------------
 # d = 2 and 3: marching squares and marching cubes
 #
 # Cell corners and edges in local coordinates.  A square is the cube's
@@ -552,40 +525,28 @@ def _origins(nodes: list[np.ndarray], cells: np.ndarray) -> list[np.ndarray]:
     return [x[i] for x, i in zip(nodes, np.unravel_index(cells, (n,) * len(nodes)))]
 
 
-def _mesh_estimate(
-    p: Polynomial, box: Box, d: int, method: str, resolution: int, keep_mesh: bool
-) -> MeasureEstimate:
-    _check_input(p, box, d, resolution)
+def measure(p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False) -> MeasureEstimate:
+    """The direct measure of p's zero set in `box`, for d = box.dimension in 1..3.
+
+    d=1 counts the distinct roots in the interval exactly, ignores
+    `resolution` and reports 1.  d=2 sums segment lengths and d=3 triangle
+    areas on a `resolution`**d cell grid; with `keep_mesh`, the segments or
+    triangles of the same pass come back as `mesh`, one row of d vertices
+    (x1, y1, x2, y2 or x1, y1, z1, ..., z3) per primitive in global coordinates.
+    """
+    d = box.dimension
+    if p.is_trivial:
+        raise TrivialPolynomialError("measure estimation requires a nontrivial polynomial")
+    if p.dimension != d:
+        raise ValueError("polynomial and box dimensions differ")
+    if d not in _METHODS:
+        raise ValueError("direct measure estimation is available only for d <= 3")
+    if d == 1:
+        count, _ = _count_range(p, box, 1, GridScheme(1), 0, 1)
+        return MeasureEstimate(float(count), _METHODS[d], 1, 0)
+    check_resolution(resolution)
     total, crossed, mesh = _march(p, box, resolution, keep_mesh)
-    return MeasureEstimate(
-        value=total,
-        method=method,
-        resolution=resolution,
-        cells_with_sign_change=crossed,
-        mesh=mesh,
-    )
-
-
-def marching_squares_length(
-    p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False
-) -> MeasureEstimate:
-    """Total polyline length of the zero level set on an N-by-N cell grid.
-
-    With `keep_mesh`, the segments of the same pass come back as `mesh`, one
-    row (x1, y1, x2, y2) per segment in global coordinates.
-    """
-    return _mesh_estimate(p, box, 2, MARCHING_SQUARES, resolution, keep_mesh)
-
-
-def marching_cubes_area(
-    p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False
-) -> MeasureEstimate:
-    """Summed triangle area of the isosurface on an N**3 cell grid.
-
-    With `keep_mesh`, the triangles of the same pass come back as `mesh`, one
-    row (x1, y1, z1, x2, y2, z2, x3, y3, z3) per triangle.
-    """
-    return _mesh_estimate(p, box, 3, MARCHING_CUBES, resolution, keep_mesh)
+    return MeasureEstimate(total, _METHODS[d], resolution, crossed, mesh)
 
 
 def write_mesh_csv(stream: TextIO, primitives: np.ndarray, dimension: int) -> None:

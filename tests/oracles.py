@@ -20,9 +20,9 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from zeroset import Box, Polynomial, TrivialPolynomialError, parse_polynomial
+from zeroset import Box, TrivialPolynomialError, parse_polynomial
 from zeroset.crofton import _slab_counts
-from zeroset.polynomial import RationalLike, _coerce
+from zeroset.polynomial import Polynomial, RationalLike, _coerce
 from zeroset.sturm import IntPoly, count_int_roots
 
 

@@ -12,15 +12,13 @@ from fractions import Fraction
 from zeroset import (
     Box,
     GridScheme,
-    Polynomial,
     crofton_upper_estimate,
-    marching_cubes_area,
-    marching_squares_length,
+    measure,
     parse_polynomial,
-    sharpness_polynomial,
     theorem_bound,
 )
 from zeroset.cli import main as cli_main
+from zeroset.experiment import sharpness_polynomial
 
 from oracles import (
     arc_length_oracle,
@@ -51,7 +49,7 @@ def test_criterion_1_equality_case():
     cube = Box.cube(0, 1, 2)
     bound = theorem_bound(p, cube)
     crofton = crofton_upper_estimate(p, cube, GridScheme(256))
-    mesh = marching_squares_length(p, cube, 64)
+    mesh = measure(p, cube, 64)
     elapsed = time.perf_counter() - start
     checks = [
         bound == Fraction(1),
@@ -71,7 +69,7 @@ def test_criterion_2_circle_cross_check():
     cube = Box.cube(-1, 1, 2)
     bound = theorem_bound(p, cube)
     crofton = crofton_upper_estimate(p, cube, GridScheme(1024))
-    mesh = marching_squares_length(p, cube, 1024)
+    mesh = measure(p, cube, 1024)
     elapsed = time.perf_counter() - start
     checks = [
         bound == Fraction(8),
@@ -92,7 +90,7 @@ def test_criterion_3_sharpness_d2():
     oracles = {}
     for n in (4, 16, 64, 256, 1024):
         p = sharpness_polynomial(2, n)
-        lengths[n] = marching_squares_length(p, cube, 2048).value
+        lengths[n] = measure(p, cube, 2048).value
         oracles[n] = arc_length_oracle(1.0 / n)
     elapsed = time.perf_counter() - start
 
@@ -118,7 +116,7 @@ def test_criterion_4_sharpness_d3():
     crofton_totals = {}
     for n in (8, 64, 512):
         p = sharpness_polynomial(3, n)
-        areas[n] = marching_cubes_area(p, cube, 128).value
+        areas[n] = measure(p, cube, 128).value
         crofton_totals[n] = crofton_upper_estimate(p, cube, GridScheme(64)).total
     elapsed = time.perf_counter() - start
 
@@ -165,10 +163,7 @@ def test_criterion_6_bound_never_violated_fuzz():
         crofton = crofton_upper_estimate(p, cube, GridScheme(grid_n))
         if not crofton.total_exact <= bound:
             violations.append(("crofton>bound", str(p)))
-        if d == 2:
-            mesh = marching_squares_length(p, cube, mesh_n)
-        else:
-            mesh = marching_cubes_area(p, cube, mesh_n)
+        mesh = measure(p, cube, mesh_n)
         if not mesh.value <= float(bound) + 1e-6:
             violations.append(("mesh>bound", str(p)))
         if not mesh.value <= crofton.total + 0.05 * float(bound):

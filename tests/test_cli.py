@@ -10,14 +10,7 @@ from pathlib import Path
 import pytest
 
 import zeroset
-from zeroset import (
-    cli,
-    marching_cubes_area,
-    marching_squares_length,
-    meshing,
-    parse_polynomial,
-    write_mesh_csv,
-)
+from zeroset import cli, measure, meshing, parse_polynomial
 from zeroset.cli import main
 
 
@@ -94,8 +87,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("an estimate ran before the input was checked")
 
-        for name in ("crofton_upper_estimate", "sharpness_experiment", "marching_squares_length",
-                     "marching_cubes_area"):
+        for name in ("crofton_upper_estimate", "sharpness_experiment", "measure"):
             monkeypatch.setattr(cli, name, no_work)
         code, out, err = run_cli(
             argv + ["--scheme", "grid:8", "--workers", "2", "--resolution", "1"], capsys
@@ -166,8 +158,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("an estimate ran before the input was checked")
 
-        for name in ("crofton_upper_estimate", "sharpness_experiment", "marching_squares_length",
-                     "marching_cubes_area", "theorem_bound"):
+        for name in ("crofton_upper_estimate", "sharpness_experiment", "measure", "theorem_bound"):
             monkeypatch.setattr(cli, name, no_work)
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -431,27 +422,18 @@ class TestMeshDump:
         assert len(lines) == 9  # 8 cells crossed, one segment each
 
     @pytest.mark.parametrize(
-        "argv, measure",
+        "argv",
         [
-            (
-                ["measure", "--poly", "x1^2 + x2^2 - 1/4", "--dim", "2", "--box=-1,1",
-                 "--resolution", "64"],
-                marching_squares_length,
-            ),
-            (
-                ["report", "--poly", "x1^2 + x2^2 + x3^2 - 1/4", "--dim", "3", "--box=-1,1",
-                 "--scheme", "grid:4", "--resolution", "12"],
-                marching_cubes_area,
-            ),
-            (
-                ["crofton", "--poly", "x1*x2 - 1/4", "--dim", "2", "--scheme", "grid:4",
-                 "--resolution", "16"],
-                marching_squares_length,
-            ),
+            ["measure", "--poly", "x1^2 + x2^2 - 1/4", "--dim", "2", "--box=-1,1",
+             "--resolution", "64"],
+            ["report", "--poly", "x1^2 + x2^2 + x3^2 - 1/4", "--dim", "3", "--box=-1,1",
+             "--scheme", "grid:4", "--resolution", "12"],
+            ["crofton", "--poly", "x1*x2 - 1/4", "--dim", "2", "--scheme", "grid:4",
+             "--resolution", "16"],
         ],
         ids=["measure-d2", "report-d3", "crofton-d2"],
     )
-    def test_meshes_once(self, capsys, monkeypatch, tmp_path, argv, measure):
+    def test_meshes_once(self, capsys, monkeypatch, tmp_path, argv):
         calls = []
         original = meshing._march
 
@@ -471,5 +453,5 @@ class TestMeshDump:
         p = parse_polynomial(config.polynomial, config.dimension)
         expected = io.StringIO()
         mesh = measure(p, config.box, config.resolution, keep_mesh=True).mesh
-        write_mesh_csv(expected, mesh, config.dimension)
+        meshing.write_mesh_csv(expected, mesh, config.dimension)
         assert path.read_text() == expected.getvalue()

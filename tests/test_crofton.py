@@ -8,17 +8,15 @@ from hypothesis import given, settings, strategies as st
 from zeroset import (
     Box,
     GridScheme,
-    MonteCarloScheme,
-    Polynomial,
     TrivialPolynomialError,
-    crofton_axis_integral,
     crofton_upper_estimate,
-    measure_d1,
+    measure,
     parse_polynomial,
     theorem_bound,
 )
 from zeroset import cli, crofton
-from zeroset.crofton import _AxisLines, _count_range
+from zeroset.crofton import MonteCarloScheme, _AxisLines, _count_range, crofton_axis_integral
+from zeroset.polynomial import Polynomial
 from zeroset.rng import mix64_array
 
 from oracles import (
@@ -165,13 +163,13 @@ class TestUpperEstimate:
         result = crofton_upper_estimate(p, UNIT_SQUARE, GridScheme(256))
         assert result.total == 1.0
         assert result.total_exact == 1
-        assert result.theorem_bound == 1
+        assert theorem_bound(p, UNIT_SQUARE) == 1
 
     def test_circle(self):
         p = parse_polynomial("x1^2 + x2^2 - 1/4", 2)
         result = crofton_upper_estimate(p, BIG_SQUARE, GridScheme(256))
         assert result.total_exact == 4
-        assert result.theorem_bound == 8
+        assert theorem_bound(p, BIG_SQUARE) == 8
 
     def test_hyperbola_closed_form(self):
         # per axis the integrand is 1 for y in (c, 1]: integral 2*(1-c)
@@ -206,8 +204,10 @@ class TestUpperEstimate:
 
     def test_non_cube_box_no_bound(self):
         p = parse_polynomial("x1*x2 - 1/4", 2)
-        result = crofton_upper_estimate(p, Box.parse("0,1;0,2", 2), GridScheme(16))
-        assert result.theorem_bound is None
+        box = Box.parse("0,1;0,2", 2)
+        crofton_upper_estimate(p, box, GridScheme(16))
+        with pytest.raises(ValueError, match="cubes only"):
+            theorem_bound(p, box)
 
     def test_trivial_rejected(self):
         with pytest.raises(TrivialPolynomialError):
@@ -221,7 +221,7 @@ class TestUpperEstimate:
         p = parse_polynomial("x1^2 - 1/4", 1)
         result = crofton_upper_estimate(p, Box.cube(0, 1, 1), GridScheme(7))
         assert result.total == 1.0  # the single root count
-        assert result.theorem_bound == 2
+        assert theorem_bound(p, Box.cube(0, 1, 1)) == 2
 
     def test_grid_total_never_exceeds_bound(self):
         rng = random.Random(233)
@@ -230,7 +230,7 @@ class TestUpperEstimate:
             p = random_polynomial(rng, d, 3)
             cube = Box.cube(0, 1, d)
             result = crofton_upper_estimate(p, cube, GridScheme(8 if d == 3 else 24))
-            assert result.total_exact <= result.theorem_bound
+            assert result.total_exact <= theorem_bound(p, cube)
 
     def test_monte_carlo_never_exceeds_bound(self):
         rng = random.Random(234)
@@ -239,8 +239,8 @@ class TestUpperEstimate:
             result = crofton_upper_estimate(
                 p, UNIT_SQUARE, MonteCarloScheme(500, seed=seed)
             )
-            assert result.total - result.total_error_halfwidth <= result.theorem_bound
-            assert result.total_exact <= result.theorem_bound
+            assert result.total - result.total_error_halfwidth <= theorem_bound(p, UNIT_SQUARE)
+            assert result.total_exact <= theorem_bound(p, UNIT_SQUARE)
             for e in result.per_axis:
                 assert e.estimate <= p.degree_in(e.axis) * 1 + e.error_halfwidth
 
@@ -632,7 +632,7 @@ def test_d1_batch_counter_matches_oracle(seed, interval, case, scheme):
     estimate = crofton_axis_integral(p, box, 1, scheme)
     assert estimate.exact == expected
     assert (estimate.error_halfwidth, estimate.degenerate_lines_hit) == (0.0, 0)
-    assert measure_d1(p, box).value == expected
+    assert measure(p, box, 1).value == expected
 
 # Exact metamorphic relations of the per-axis integrals on non-cube boxes.
 # Estimates are exact rationals, so each relation holds with ==.

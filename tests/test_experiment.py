@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from zeroset import GridScheme, sharpness_experiment, sharpness_polynomial
+from zeroset import GridScheme
+from zeroset.experiment import sharpness_experiment, sharpness_polynomial
 
 from oracles import arc_length_oracle
 

@@ -14,19 +14,17 @@ from hypothesis import example, given, settings, strategies as st
 from zeroset import (
     Box,
     GridScheme,
-    Polynomial,
     TrivialPolynomialError,
     crofton_upper_estimate,
-    marching_cubes_area,
-    marching_squares_length,
-    measure_d1,
+    measure,
     meshing,
     parse_polynomial,
-    sharpness_polynomial,
     theorem_bound,
-    write_mesh_csv,
 )
 from zeroset._mc_tables import SEGMENTS, TRIANGLES
+from zeroset.experiment import sharpness_polynomial
+from zeroset.meshing import write_mesh_csv
+from zeroset.polynomial import Polynomial
 
 from oracles import (
     Poly,
@@ -52,71 +50,84 @@ _FACE_SADDLES = "x1*x2 - 1/1000*x3"
 class TestMeasureD1:
     def test_one_root(self):
         p = parse_polynomial("x1^2 - 1/4", 1)
-        estimate = measure_d1(p, Box.cube(0, 1, 1))
+        estimate = measure(p, Box.cube(0, 1, 1), 1)
         assert estimate.value == 1.0
         assert estimate.method == "exact_count"
 
     def test_no_roots(self):
         p = parse_polynomial("x1^2 + 1", 1)
-        assert measure_d1(p, Box.cube(0, 1, 1)).value == 0.0
+        assert measure(p, Box.cube(0, 1, 1), 1).value == 0.0
 
     def test_planted_tenths(self):
         roots = [Fraction(i, 10) for i in range(1, 11)]
         u = UnivariatePolynomial.from_roots(roots)
         p = Polynomial(1, {(i,): c for i, c in enumerate(u.coefficients)})
-        assert measure_d1(p, Box.cube(0, 1, 1)).value == 10.0
+        assert measure(p, Box.cube(0, 1, 1), 1).value == 10.0
 
     def test_trivial_rejected(self):
         with pytest.raises(TrivialPolynomialError):
-            measure_d1(Poly.zero(1), Box.cube(0, 1, 1))
+            measure(Poly.zero(1), Box.cube(0, 1, 1), 1)
+
+    def test_resolution_ignored(self):
+        p = parse_polynomial("x1^2 - 1/4", 1)
+        box = Box.cube(-1, 1, 1)
+        coarse, fine = measure(p, box, 1), measure(p, box, 999)
+        assert coarse == fine
+        assert (coarse.value, coarse.method, coarse.resolution) == (2.0, "exact_count", 1)
+
+
+def test_measure_rejects_dimension_4():
+    p = parse_polynomial("x1*x2*x3*x4 - 1/2", 4)
+    with pytest.raises(ValueError, match="d <= 3"):
+        measure(p, Box.cube(0, 1, 4), 8)
 
 
 class TestMarchingSquares:
     def test_vertical_line_exact(self):
         p = parse_polynomial("x1 - 1/2", 2)
-        estimate = marching_squares_length(p, UNIT_SQUARE, 64)
+        estimate = measure(p, UNIT_SQUARE, 64)
         assert estimate.value == 1.0
         assert estimate.method == "marching_squares"
         assert estimate.cells_with_sign_change == 64
 
     def test_circle_circumference(self):
         p = parse_polynomial("x1^2 + x2^2 - 1/4", 2)
-        estimate = marching_squares_length(p, Box.cube(-1, 1, 2), 512)
+        estimate = measure(p, Box.cube(-1, 1, 2), 512)
         assert abs(estimate.value - math.pi) <= 0.005 * math.pi
 
     def test_hyperbola_against_arc_length_oracle(self):
         c = Fraction(1, 100)
         p = Polynomial(2, {(1, 1): 1, (0, 0): -c})
-        estimate = marching_squares_length(p, UNIT_SQUARE, 1024)
+        estimate = measure(p, UNIT_SQUARE, 1024)
         oracle = arc_length_oracle(float(c))
         assert abs(estimate.value - oracle) <= 0.01 * oracle
 
     def test_empty_zero_set(self):
         p = parse_polynomial("x1^2 + x2^2 + 1", 2)
-        estimate = marching_squares_length(p, UNIT_SQUARE, 32)
+        estimate = measure(p, UNIT_SQUARE, 32)
         assert estimate.value == 0.0
         assert estimate.cells_with_sign_change == 0
 
     def test_corner_point_has_zero_length(self):
         p = parse_polynomial("x1*x2 - 1", 2)
-        assert marching_squares_length(p, UNIT_SQUARE, 64).value == 0.0
+        assert measure(p, UNIT_SQUARE, 64).value == 0.0
 
     def test_ambiguous_saddle_resolved_by_center(self):
         # x1*x2 = 0 through the cell grid center creates diagonal cells
         p = parse_polynomial("x1*x2 - 1/1000", 2)
-        estimate = marching_squares_length(p, Box.cube(-1, 1, 2), 33)
+        estimate = measure(p, Box.cube(-1, 1, 2), 33)
         assert estimate.value > 0
-        repeat = marching_squares_length(p, Box.cube(-1, 1, 2), 33)
+        repeat = measure(p, Box.cube(-1, 1, 2), 33)
         assert estimate == repeat
 
     def test_resolution_validation(self):
         p = parse_polynomial("x1 - 1/2", 2)
         with pytest.raises(ValueError):
-            marching_squares_length(p, UNIT_SQUARE, 1)
+            measure(p, UNIT_SQUARE, 1)
         with pytest.raises(ValueError):
-            marching_squares_length(p, Box.cube(0, 1, 3), 8)
+            measure(p, Box.cube(0, 1, 3), 8)
         with pytest.raises(TrivialPolynomialError):
-            marching_squares_length(Poly.zero(2), UNIT_SQUARE, 8)
+            measure(Poly.zero(2), UNIT_SQUARE, 8)
 
 
 # Marching-squares outputs recorded before the classifier was restricted to
@@ -166,10 +177,10 @@ class TestMarchingSquaresGolden:
     def test_bit_identical(self, text, box, n, total_hex, crossed, digest):
         p = parse_polynomial(text, 2)
         box = Box.parse(box, 2)
-        estimate = marching_squares_length(p, box, n)
+        estimate = measure(p, box, n)
         assert estimate.value.hex() == total_hex
         assert estimate.cells_with_sign_change == crossed
-        segments = marching_squares_length(p, box, n, keep_mesh=True).mesh
+        segments = measure(p, box, n, keep_mesh=True).mesh
         assert hashlib.sha256(segments.tobytes()).hexdigest() == digest
 
     def test_saddles_cover_both_ambiguous_cases_and_center_signs(self):
@@ -197,18 +208,18 @@ class TestMarchingSquaresGolden:
 class TestMarchingCubes:
     def test_plane_exact(self):
         p = parse_polynomial("x1 - 1/2", 3)
-        estimate = marching_cubes_area(p, UNIT_CUBE, 32)
+        estimate = measure(p, UNIT_CUBE, 32)
         assert estimate.value == 1.0
         assert estimate.method == "marching_cubes"
 
     def test_sphere_area(self):
         p = parse_polynomial("x1^2 + x2^2 + x3^2 - 1/4", 3)
-        estimate = marching_cubes_area(p, Box.cube(-1, 1, 3), 64)
+        estimate = measure(p, Box.cube(-1, 1, 3), 64)
         assert abs(estimate.value - math.pi) <= 0.02 * math.pi
 
     def test_diagonal_plane_hexagon(self):
         p = parse_polynomial("x1 + x2 + x3 - 3/2", 3)
-        estimate = marching_cubes_area(p, UNIT_CUBE, 64)
+        estimate = measure(p, UNIT_CUBE, 64)
         expected = 3 * math.sqrt(3) / 4
         assert abs(estimate.value - expected) <= 0.01 * expected
 
@@ -228,8 +239,8 @@ class TestMarchingCubes:
             c00, c10, c11, c01 = s[:-1, :-1], s[1:, :-1], s[1:, 1:], s[:-1, 1:]
             ambiguous += int(((c00 == c11) & (c10 == c01) & (c00 != c10)).sum())
         assert ambiguous > 0
-        a = marching_cubes_area(p, box, n)
-        b = marching_cubes_area(p, box, n)
+        a = measure(p, box, n)
+        b = measure(p, box, n)
         assert a == b
         assert a.value > 0
 
@@ -283,10 +294,10 @@ class TestMarchingCubesGolden:
     def test_bit_identical(self, text, box, n, total_hex, crossed, digest):
         p = parse_polynomial(text, 3)
         box = Box.parse(box, 3)
-        estimate = marching_cubes_area(p, box, n)
+        estimate = measure(p, box, n)
         assert estimate.value.hex() == total_hex
         assert estimate.cells_with_sign_change == crossed
-        triangles = marching_cubes_area(p, box, n, keep_mesh=True).mesh
+        triangles = measure(p, box, n, keep_mesh=True).mesh
         assert hashlib.sha256(triangles.tobytes()).hexdigest() == digest
 
     def test_face_votes_go_both_ways(self):
@@ -429,7 +440,6 @@ class TestSlabSeams:
         text, box = _SEAM_CASES[d]
         p = parse_polynomial(text, d)
         box = Box.parse(box, d)
-        measure = marching_squares_length if d == 2 else marching_cubes_area
         assert meshing._scan_whole(n, d)
         whole = measure(p, box, n, keep_mesh=True)
         assert whole.cells_with_sign_change <= meshing._BATCH_CELLS  # one batch
@@ -493,7 +503,6 @@ class TestBlockScan:
         # the dump (sorted by key and cell) stay those of the whole-grid scan.
         p, box, n = problem
         d = box.dimension
-        measure = marching_squares_length if d == 2 else marching_cubes_area
         assert meshing._scan_whole(n, d)
         whole = measure(p, box, n, keep_mesh=True)
         with mock.patch.dict(meshing._BLOCK, {d: size}), mock.patch.multiple(
@@ -519,7 +528,7 @@ class TestBlockScan:
 
         monkeypatch.setattr(meshing, "_evaluate", counting)
         n = 2048
-        estimate = marching_squares_length(sharpness_polynomial(2, 64), UNIT_SQUARE, n)
+        estimate = measure(sharpness_polynomial(2, 64), UNIT_SQUARE, n)
         assert estimate.cells_with_sign_change > 0
         assert sum(evaluated) <= 0.05 * (n + 1) ** 2
 
@@ -644,10 +653,8 @@ class TestCaseTables:
 
 
 class TestMeshMemory:
-    @pytest.mark.parametrize(
-        "d, n, measure", [(2, 2048, marching_squares_length), (3, 128, marching_cubes_area)]
-    )
-    def test_no_whole_float_grid(self, d, n, measure):
+    @pytest.mark.parametrize("d, n", [(2, 2048), (3, 128)])
+    def test_no_whole_float_grid(self, d, n):
         # Peak traced allocation (NumPy reports its buffers to tracemalloc)
         # stays below half of one whole (n+1)^d float64 vertex grid, with the
         # sharpness polynomial and with its zero set scaled by 10^302, past
@@ -673,36 +680,36 @@ class TestMeshMemory:
 class TestGridInvariances:
     def test_axis_swap_bit_identical(self):
         p = Polynomial(2, {(3, 0): 1, (0, 2): 1, (0, 0): Fraction(-1, 2)})
-        a = marching_squares_length(p, UNIT_SQUARE, 64)
-        b = marching_squares_length(swap_axes(p), UNIT_SQUARE, 64)
+        a = measure(p, UNIT_SQUARE, 64)
+        b = measure(swap_axes(p), UNIT_SQUARE, 64)
         assert a.value == b.value
         assert a.cells_with_sign_change == b.cells_with_sign_change
 
     def test_symmetric_polynomial_swap(self):
         p = parse_polynomial("x1^2 + x2^2 - 1/4", 2)
-        a = marching_squares_length(p, Box.cube(-1, 1, 2), 128)
-        b = marching_squares_length(swap_axes(p), Box.cube(-1, 1, 2), 128)
+        a = measure(p, Box.cube(-1, 1, 2), 128)
+        b = measure(swap_axes(p), Box.cube(-1, 1, 2), 128)
         assert a.value == b.value
 
     def test_translation_bit_identical(self):
         p = parse_polynomial("x1^2 + x2^2 - 1/4", 2)
         q = shift(p, (1, 2))
-        a = marching_squares_length(p, Box.cube(-1, 1, 2), 64)
-        b = marching_squares_length(q, Box(((0, 2), (1, 3))), 64)
+        a = measure(p, Box.cube(-1, 1, 2), 64)
+        b = measure(q, Box(((0, 2), (1, 3))), 64)
         assert a.value == b.value
 
     def test_translation_bit_identical_3d(self):
         p = parse_polynomial("x1^2 + x2^2 + x3^2 - 1/4", 3)
         q = shift(p, (1, 0, 1))
-        a = marching_cubes_area(p, Box.cube(-1, 1, 3), 32)
-        b = marching_cubes_area(q, Box(((0, 2), (-1, 1), (0, 2))), 32)
+        a = measure(p, Box.cube(-1, 1, 3), 32)
+        b = measure(q, Box(((0, 2), (-1, 1), (0, 2))), 32)
         assert a.value == b.value
 
     def test_scaling_relative(self):
         p = parse_polynomial("x1^2 + x2^2 - 1/4", 2)
         q = scale_vars(p, 2)
-        a = marching_squares_length(p, Box.cube(-1, 1, 2), 128)
-        b = marching_squares_length(q, Box.cube(-2, 2, 2), 128)
+        a = measure(p, Box.cube(-1, 1, 2), 128)
+        b = measure(q, Box.cube(-2, 2, 2), 128)
         assert abs(b.value - 2 * a.value) <= 1e-9 * 2 * a.value
 
 
@@ -714,7 +721,7 @@ class TestBoundChain:
             p = random_polynomial(rng, 2, 4)
             bound = theorem_bound(p, UNIT_SQUARE)
             crofton = crofton_upper_estimate(p, UNIT_SQUARE, GridScheme(32))
-            mesh = marching_squares_length(p, UNIT_SQUARE, 64)
+            mesh = measure(p, UNIT_SQUARE, 64)
             assert crofton.total_exact <= bound
             assert mesh.value <= float(bound) + 1e-6
             assert mesh.value <= crofton.total + 0.05 * float(bound)
@@ -723,7 +730,7 @@ class TestBoundChain:
 class TestMeshOutput:
     def test_segments_shape_and_location(self):
         p = parse_polynomial("x1^2 + x2^2 - 1/4", 2)
-        segments = marching_squares_length(p, Box.cube(-1, 1, 2), 64, keep_mesh=True).mesh
+        segments = measure(p, Box.cube(-1, 1, 2), 64, keep_mesh=True).mesh
         assert segments.shape[1] == 4
         assert len(segments) > 0
         # endpoints stay inside the box and near the zero set
@@ -734,13 +741,13 @@ class TestMeshOutput:
 
     def test_triangles_shape(self):
         p = parse_polynomial("x1 - 1/2", 3)
-        triangles = marching_cubes_area(p, UNIT_CUBE, 8, keep_mesh=True).mesh
+        triangles = measure(p, UNIT_CUBE, 8, keep_mesh=True).mesh
         assert triangles.shape == (128, 9)  # 8*8 cells, 2 triangles each
         assert np.allclose(triangles[:, [0, 3, 6]], 0.5)
 
     def test_write_mesh_csv(self):
         p = parse_polynomial("x1 - 1/2", 2)
-        segments = marching_squares_length(p, UNIT_SQUARE, 4, keep_mesh=True).mesh
+        segments = measure(p, UNIT_SQUARE, 4, keep_mesh=True).mesh
         stream = io.StringIO()
         write_mesh_csv(stream, segments, 2)
         lines = stream.getvalue().strip().split("\n")

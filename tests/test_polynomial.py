@@ -3,12 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from zeroset import (
-    ParseError,
-    Polynomial,
-    TrivialPolynomialError,
-    parse_polynomial,
-)
+from zeroset import ParseError, TrivialPolynomialError, parse_polynomial
+from zeroset.polynomial import Polynomial
 
 from oracles import (
     Poly,
