@@ -7,9 +7,10 @@ and scheme, so any run can be reproduced exactly.
 
 Serialization: exact rationals appear as "num/den" strings ("2", "-1/4"),
 reals as shortest round-trip decimals.  Exit codes: 0 ok, 2 parse error
-(bad arguments, configuration or polynomial text, all checked before any
-estimate runs), 3 trivial polynomial, 4 I/O error; these failures print a
-JSON error record to stderr.  Any other exception is a bug and propagates.
+(bad arguments, configuration or polynomial text, or a coefficient beyond
+float64 in a run that meshes, all checked before any estimate runs), 3
+trivial polynomial, 4 I/O error; these failures print a JSON error record
+to stderr.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .crofton import (
     theorem_bound,
 )
 from .experiment import ExperimentRow, check_sharpness, sharpness_experiment
-from .meshing import MeasureEstimate, check_resolution, measure, write_mesh_csv
+from .meshing import MeasureEstimate, check_coefficients, check_resolution, measure, write_mesh_csv
 from .polynomial import Polynomial, TrivialPolynomialError, parse_polynomial
 
 EXIT_OK = 0
@@ -136,6 +137,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _meshes(command: str, dimension: int, dump_mesh: str | None) -> bool:
+    """Whether a run of `command` builds a mesh."""
+    asked = command in ("measure", "report", "sharpness") or bool(dump_mesh)
+    return asked and dimension in (2, 3)
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     dimension = args.dim
     if dimension < 1:
@@ -153,7 +160,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("mesh dumps exist only for dimensions 2 and 3")
     if args.command == "measure" and dimension > 3:
         raise ValueError("direct measure estimation is available only for d <= 3")
-    if dimension in (2, 3) and (args.command in ("measure", "report", "sharpness") or dump_mesh):
+    if _meshes(args.command, dimension, dump_mesh):
         check_resolution(resolution)  # before any estimate runs
     n_values = None
     if args.command == "sharpness":
@@ -286,14 +293,6 @@ def _flatten_for_csv(results: dict) -> tuple[list[str], list[list]]:
 # ---------------------------------------------------------------------------
 
 
-def _dump_mesh(p: Polynomial, config: RunConfig, estimate: MeasureEstimate | None) -> None:
-    """Write the mesh kept by `estimate`, or mesh now when the run measured nothing."""
-    if estimate is None:
-        estimate = measure(p, config.box, config.resolution, keep_mesh=True)
-    with open(config.dump_mesh, "w") as stream:
-        write_mesh_csv(stream, estimate.mesh, config.dimension)
-
-
 def _execute(config: RunConfig, p: Polynomial | None) -> dict:
     """Run the estimates of a checked configuration; `p` is None for sharpness."""
     results: dict = {}
@@ -311,12 +310,14 @@ def _execute(config: RunConfig, p: Polynomial | None) -> dict:
     if config.command in ("crofton", "report"):
         crofton = crofton_upper_estimate(p, config.box, config.scheme)
         results["crofton"] = _crofton_dict(crofton)
-    estimate = None
-    if config.command in ("measure", "report") and config.dimension <= 3:
+    measured = config.command in ("measure", "report") and config.dimension <= 3
+    if measured or config.dump_mesh:
         estimate = measure(p, config.box, config.resolution, keep_mesh=bool(config.dump_mesh))
-        results["measure"] = _measure_dict(estimate)
-    if config.dump_mesh:
-        _dump_mesh(p, config, estimate)
+        if measured:
+            results["measure"] = _measure_dict(estimate)
+        if config.dump_mesh:
+            with open(config.dump_mesh, "w") as stream:
+                write_mesh_csv(stream, estimate.mesh, config.dimension)
     return results
 
 
@@ -333,6 +334,8 @@ def main(argv=None) -> int:
         p = None
         if config.command != "sharpness":
             p = parse_polynomial(config.polynomial, config.dimension)
+            if _meshes(config.command, config.dimension, config.dump_mesh):
+                check_coefficients(p)
     except ValueError as exc:
         _emit_error(EXIT_PARSE, "parse_error", str(exc))
         return EXIT_PARSE

@@ -363,12 +363,15 @@ class _AxisLines:
         self.scheme = scheme
         self.lo, self.hi = (x.as_integer_ratio() for x in box.interval(k))
         den = math.lcm(*(x.denominator for pair in projected.intervals for x in pair))
+        # `lines` is the number of lines, the same for every axis.
         if isinstance(scheme, GridScheme):
             scale = 2 * scheme.points_per_axis * den
             reach = 2 * scheme.points_per_axis - 1
+            self.lines = scheme.points_per_axis ** projected.dimension
         else:
             scale = den << UNIT_BITS
             reach = (1 << UNIT_BITS) - 1
+            self.lines = scheme.samples if projected.dimension else 1
         self.spans = [(_scaled(a, scale), _scaled(b - a, den)) for a, b in projected.intervals]
         self.tables = _coefficient_tables(p, k, scale)
         # The batch computes N = low + width * multiplier in int64.
@@ -434,67 +437,36 @@ class _AxisLines:
             counts[deferred] = self.exact_counts(multipliers[:, deferred])
         return counts
 
-
-def _slab_counts(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, stop: int):
-    """Counts of lines start..stop-1, one int64 array per slab; -1 marks a line in the zero set."""
-    lines = _AxisLines(p, box, k, scheme)
-    for first in range(start, stop, _SLAB_LINES):
-        yield lines.batch_counts(lines.multipliers(first, min(first + _SLAB_LINES, stop)))
-
-
-def _count_range(p: Polynomial, box: Box, k: int, scheme: Scheme, start: int, stop: int):
-    """(sum of finite counts, number of lines inside the zero set) over lines start..stop-1."""
-    total = 0
-    degenerate = 0
-    for counts in _slab_counts(p, box, k, scheme, start, stop):
-        inside = int(np.count_nonzero(counts < 0))
-        total += int(counts.sum()) + inside  # a line inside the zero set reads -1
-        degenerate += inside
-    return total, degenerate
-
-
-def _lines_per_axis(box: Box, scheme: Scheme) -> int:
-    """Axis lines one axis integral counts; the same for every axis."""
-    if isinstance(scheme, GridScheme):
-        return scheme.points_per_axis ** (box.dimension - 1)
-    return scheme.samples if box.dimension > 1 else 1
-
-
-def _check_estimator_input(p: Polynomial, box: Box) -> None:
-    if p.is_trivial:
-        raise TrivialPolynomialError("the estimator requires a nontrivial polynomial")
-    if p.dimension != box.dimension:
-        raise ValueError("polynomial and box dimensions differ")
+    def count(self) -> tuple[int, int]:
+        """(sum of finite counts, number of lines inside the zero set) over every line."""
+        total = degenerate = 0
+        for i in range(0, self.lines, _SLAB_LINES):
+            counts = self.batch_counts(self.multipliers(i, min(i + _SLAB_LINES, self.lines)))
+            total += int(counts.sum())
+            degenerate += int(np.count_nonzero(counts < 0))
+        return total + degenerate, degenerate  # a line inside the zero set reads -1
 
 
 def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> AxisEstimate:
     """Estimate of the axis-k integral of per-line root counts over the base box."""
-    _check_estimator_input(p, box)
-    p._check_axis(k)
+    if p.is_trivial:
+        raise TrivialPolynomialError("the estimator requires a nontrivial polynomial")
+    if p.dimension != box.dimension:
+        raise ValueError("polynomial and box dimensions differ")
+    lines = _AxisLines(p, box, k, scheme)
+    total, degenerate = lines.count()
     projected = box.project(k)
-    n_points = _lines_per_axis(box, scheme)
-    total, degenerate = _count_range(p, box, k, scheme, 0, n_points)
+    exact = projected.volume * Fraction(total, lines.lines)
     if isinstance(scheme, GridScheme):
         n = scheme.points_per_axis
-        cell_volume = projected.volume / n_points
-        exact = total * cell_volume
-        spacing = max(((b - a) / n for a, b in projected.intervals), default=0)
-        return AxisEstimate(
-            axis=k,
-            estimate=float(exact),
-            error_halfwidth=float(spacing),
-            degenerate_lines_hit=degenerate,
-            exact=exact,
+        halfwidth = float(max(((b - a) / n for a, b in projected.intervals), default=0))
+    else:
+        # Hoeffding: the integrand is integer-valued in [0, deg_{x_k} p].  A
+        # point base has one line, counted exactly.
+        spread = p.degree_in(k) if projected.dimension else 0
+        halfwidth = float(projected.volume) * spread * math.sqrt(
+            math.log(2.0 / (1.0 - DEFAULT_CONFIDENCE)) / (2.0 * lines.lines)
         )
-
-    volume = projected.volume
-    exact = volume * Fraction(total, n_points)
-    # Hoeffding: the integrand is integer-valued in [0, deg_{x_k} p].  A point
-    # base has one line, counted exactly.
-    spread = p.degree_in(k) if projected.dimension else 0
-    halfwidth = float(volume) * spread * math.sqrt(
-        math.log(2.0 / (1.0 - DEFAULT_CONFIDENCE)) / (2.0 * n_points)
-    )
     return AxisEstimate(
         axis=k,
         estimate=float(exact),
@@ -506,7 +478,6 @@ def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> Ax
 
 def crofton_upper_estimate(p: Polynomial, box: Box, scheme: Scheme) -> CroftonResult:
     """Sum over axes of the per-line count integrals."""
-    _check_estimator_input(p, box)
     per_axis = tuple(
         crofton_axis_integral(p, box, k, scheme) for k in range(1, box.dimension + 1)
     )

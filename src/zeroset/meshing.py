@@ -18,10 +18,11 @@ The vertex values of the other blocks are evaluated in batches into reused
 buffers of about 512 KiB, term by term in the same order everywhere, from
 the same factors as a whole-grid evaluation, so they are bit-identical to
 it.  Only crossed cells (corners of both signs) are kept, with their corner
-values, batch by batch in no row-major or other set order.  The scan thus
-costs in proportion to the blocks near the zero set, and both meshes past
-it in proportion to the crossed cells.  A grid of up to 255**2 or 39**3
-cells (1 MiB of vertex buffers) is evaluated whole, without blocks or
+values, one run per batch of blocks in no set order, and each run is meshed
+in slices of at most `_BATCH_CELLS` cells.  The scan thus costs in
+proportion to the blocks near the zero set, and both meshes past it in
+proportion to the crossed cells.  A grid of up to 255**2 or 39**3 cells
+(1 MiB of vertex buffers) is evaluated whole, in one run, without blocks or
 certificate (`_scan_whole`); no larger vertex grid is ever built.
 
 Determinism: segment lengths and triangle areas are derived from local cell
@@ -53,7 +54,7 @@ import numpy as np
 
 from ._exact_sum import ExactSum
 from ._mc_tables import SEGMENTS, TRIANGLES
-from .crofton import Box, GridScheme, _count_range, error_factor
+from .crofton import Box, GridScheme, _AxisLines, error_factor
 from .polynomial import Polynomial, TrivialPolynomialError
 
 # The method each dimension's estimate reports.
@@ -74,6 +75,15 @@ def check_resolution(resolution: int) -> None:
     """Meshes need at least 2 cells per axis."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2 cells per axis")
+
+
+def check_coefficients(p: Polynomial) -> None:
+    """Meshes evaluate p in float64, so each coefficient must convert to a finite one."""
+    for c in p.terms.values():
+        try:
+            float(c)
+        except OverflowError:
+            raise ValueError("a coefficient is beyond the float64 range meshes need") from None
 
 
 def _node_array(a: Fraction, b: Fraction, n: int) -> np.ndarray:
@@ -317,7 +327,8 @@ def _grid_crossings(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray)
 def _block_crossings(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray):
     """The crossed cells of the blocks `_Certificate` keeps, with their corner values.
 
-    Yields them per batch of kept blocks, in the order of `crossings`.
+    Yields them per batch of at most `_batch_blocks` kept blocks of one
+    group of block-rows, in the order of `crossings`.
     """
     d, n = len(nodes), len(nodes[0]) - 1
     size = _BLOCK[d]
@@ -329,44 +340,24 @@ def _block_crossings(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray
     # arrays hold at most _BUFFER_BYTES / 8 each.
     group = max(1, _BUFFER_BYTES // (64 * len(scan.factors) * per_row))
     most = _batch_blocks(d)
-    kept = np.empty(0, dtype=np.intp)  # kept blocks of certified block-rows, not yet evaluated
     for row in range(0, blocks, group):
-        certified = np.flatnonzero(certificate.keep(slice(row, row + group))) + row * per_row
-        kept = np.concatenate([kept, certified])
-        last = row + group >= blocks
-        while len(kept) >= most or (last and len(kept)):
-            yield scan.crossings(np.unravel_index(kept[:most], (blocks,) * d))
-            kept = kept[most:]
+        kept = np.flatnonzero(certificate.keep(slice(row, row + group))) + row * per_row
+        for first in range(0, len(kept), most):
+            yield scan.crossings(np.unravel_index(kept[first : first + most], (blocks,) * d))
 
 
-def _crossed_cells(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray, batch: int):
+def _crossed_cells(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray):
     """The cells of the grid on `nodes` whose corners disagree in sign, in no particular order.
 
-    Yields (flat indices in the n**d cell grid, corner values with one row
-    per entry of `corners`) in batches of `batch` cells; the last batch may
-    be smaller.  Yields nothing when no cell crosses.  A small grid (see
-    `_scan_whole`) is evaluated whole, a larger one block by block.
+    Returns runs of (flat indices in the n**d cell grid, corner values with
+    one row per entry of `corners`); a run may be empty.  A small grid (see
+    `_scan_whole`) is evaluated whole, in one run, and a larger one block
+    by block, in one run per batch of blocks.
     """
     d, n = len(nodes), len(nodes[0]) - 1
     if _scan_whole(n, d):
-        runs = [_grid_crossings(p, nodes, corners)]
-    else:
-        runs = _block_crossings(p, nodes, corners)
-    done_cells, done_values, count = [], [], 0
-    for cells, corner_values in runs:
-        done_cells.append(cells)
-        done_values.append(corner_values)
-        count += len(cells)
-        if count >= batch:
-            cells = np.concatenate(done_cells)
-            corner_values = np.concatenate(done_values, axis=1)
-            full = count - count % batch
-            for i in range(0, full, batch):
-                yield cells[i : i + batch], corner_values[:, i : i + batch]
-            done_cells, done_values = [cells[full:]], [corner_values[:, full:]]
-            count -= full
-    if count:
-        yield np.concatenate(done_cells), np.concatenate(done_values, axis=1)
+        return [_grid_crossings(p, nodes, corners)]
+    return _block_crossings(p, nodes, corners)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +422,8 @@ class _Cases:
 
 
 _CASES = {2: _Cases(SEGMENTS, 2), 3: _Cases(TRIANGLES, 3)}
-# Crossed cells are meshed in batches of about this many cells, so the
-# per-primitive arrays stay small.
+# Each run of crossed cells is meshed in slices of at most this many cells,
+# so the per-primitive arrays stay small.
 _BATCH_CELLS = 1024
 
 
@@ -449,12 +440,13 @@ def _march(p: Polynomial, box: Box, n: int, keep: bool):
     crossed = 0
     total = ExactSum()
     kept = []
-    batches = _crossed_cells(p, nodes, _CORNER_OFFSETS[: 2**d, :d], _BATCH_CELLS)
-    for cells, corner_values in batches:
+    for cells, values in _crossed_cells(p, nodes, _CORNER_OFFSETS[: 2**d, :d]):
         crossed += len(cells)
-        measures, primitives = _march_batch(p, nodes, h, cells, corner_values, keep)
-        total.add(measures)
-        kept.append(primitives)
+        for i in range(0, len(cells), _BATCH_CELLS):
+            batch = slice(i, i + _BATCH_CELLS)
+            measures, primitives = _march_batch(p, nodes, h, cells[batch], values[:, batch], keep)
+            total.add(measures)
+            kept.append(primitives)
     mesh = None
     if keep:
         mesh = np.empty((0, d * d))
@@ -542,9 +534,10 @@ def measure(p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False) -
     if d not in _METHODS:
         raise ValueError("direct measure estimation is available only for d <= 3")
     if d == 1:
-        count, _ = _count_range(p, box, 1, GridScheme(1), 0, 1)
+        count, _ = _AxisLines(p, box, 1, GridScheme(1)).count()
         return MeasureEstimate(float(count), _METHODS[d], 1, 0)
     check_resolution(resolution)
+    check_coefficients(p)
     total, crossed, mesh = _march(p, box, resolution, keep_mesh)
     return MeasureEstimate(total, _METHODS[d], resolution, crossed, mesh)
 

@@ -1,8 +1,8 @@
 """Counter-based pseudo-random numbers for reproducible sampling.
 
 Every draw is a pure function of (seed, counter) — there is no generator
-state — so sample i is the same no matter which worker produces it or in
-what order.  The mixer is the standard splitmix64 finalizer.
+state — so sample i is the same whatever slab draws it and in whatever
+order.  The mixer is the standard splitmix64 finalizer.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from zeroset import Box, TrivialPolynomialError, parse_polynomial
-from zeroset.crofton import _slab_counts
+from zeroset.crofton import _AxisLines
 from zeroset.polynomial import Polynomial, RationalLike, _coerce
 from zeroset.sturm import IntPoly, count_int_roots
 
@@ -330,11 +330,11 @@ def line_count(p: Polynomial, box: Box, k: int, base: Sequence[RationalLike]) ->
     return count_real_roots(restrict_to_line(p, k, base), lo, hi)
 
 
-def line_counts(p: Polynomial, box: Box, k: int, scheme, start: int, stop: int):
-    """The library's counts of lines start..stop-1, None for a line inside the zero set."""
-    for counts in _slab_counts(p, box, k, scheme, start, stop):
-        for count in counts.tolist():
-            yield None if count < 0 else count
+def line_counts(p: Polynomial, box: Box, k: int, scheme) -> list:
+    """The library's counts of every axis-k line, None for a line inside the zero set."""
+    lines = _AxisLines(p, box, k, scheme)
+    counts = lines.batch_counts(lines.multipliers(0, lines.lines))
+    return [None if count < 0 else count for count in counts.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,43 @@ class TestExitCodes:
         assert json.loads(err)["error"]["kind"] == "parse_error"
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--dim", "2"],
+            ["measure", "--dim", "2"],
+            ["crofton", "--dim", "2", "--dump-mesh", "unused.csv"],
+            ["measure", "--dim", "3"],
+        ],
+        ids=["report-d2", "measure-d2", "crofton-dump-mesh", "measure-d3"],
+    )
+    def test_coefficient_beyond_float64_is_2_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an estimate ran before the input was checked")
+
+        for name in ("crofton_upper_estimate", "measure", "theorem_bound"):
+            monkeypatch.setattr(cli, name, no_work)
+        huge = "x1*x2 - 1" + "0" * 400
+        code, out, err = run_cli(
+            argv + ["--poly", huge, "--scheme", "grid:4", "--resolution", "8"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "float64" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crofton", "--poly", "x1*x2 - 1" + "0" * 400, "--dim", "2", "--scheme", "grid:4"],
+            ["measure", "--poly", "x1 - 1" + "0" * 400, "--dim", "1"],
+        ],
+        ids=["crofton-d2", "measure-d1"],
+    )
+    def test_coefficient_beyond_float64_without_a_mesh_is_valid(self, capsys, argv):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["results"]
+
 
 class TestParser:
     RUNS = [

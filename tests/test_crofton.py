@@ -15,7 +15,7 @@ from zeroset import (
     theorem_bound,
 )
 from zeroset import cli, crofton
-from zeroset.crofton import MonteCarloScheme, _AxisLines, _count_range, crofton_axis_integral
+from zeroset.crofton import MonteCarloScheme, _AxisLines, crofton_axis_integral
 from zeroset.polynomial import Polynomial
 from zeroset.rng import mix64_array
 
@@ -329,14 +329,10 @@ class TestIntegerLinePath:
                 for base in reference_base_points(box, k, scheme)
             ]
             n_points = len(expected)
-            assert list(line_counts(p, box, k, scheme, 0, n_points)) == expected
+            assert line_counts(p, box, k, scheme) == expected
             finite = [c for c in expected if c is not None]
             totals = (sum(finite), n_points - len(finite))
-            assert _count_range(p, box, k, scheme, 0, n_points) == totals
-            middle = n_points // 3
-            head = _count_range(p, box, k, scheme, 0, middle)
-            tail = _count_range(p, box, k, scheme, middle, n_points)
-            assert (head[0] + tail[0], head[1] + tail[1]) == totals
+            assert _AxisLines(p, box, k, scheme).count() == totals
 
     @pytest.mark.parametrize(
         "box,schemes",
@@ -382,7 +378,7 @@ class TestIntegerLinePath:
     def test_planted_grid_counts(self):
         n = 5
         planted = self.planted(n)
-        lines = lambda p, k: list(line_counts(p, ODD_BOX_2, k, GridScheme(n), 0, n))
+        lines = lambda p, k: line_counts(p, ODD_BOX_2, k, GridScheme(n))
         zeros = planted["zero_lines"]
         assert lines(zeros, 1).count(None) == 1
         assert lines(zeros, 2).count(None) == 1
@@ -440,15 +436,13 @@ class TestBatchedLinePath:
             p = random_polynomial(rng, box.dimension, 4)
             for scheme in schemes:
                 for k in range(1, box.dimension + 1):
-                    n_points = crofton._lines_per_axis(box, scheme)
+                    lines = _AxisLines(p, box, k, scheme)
+                    n_points = lines.lines
                     expected = exact_line_counts(p, box, k, scheme, n_points)
-                    assert list(line_counts(p, box, k, scheme, 0, n_points)) == expected
+                    assert line_counts(p, box, k, scheme) == expected
                     finite = [c for c in expected if c is not None]
                     totals = (sum(finite), n_points - len(finite))
-                    middle = n_points // 2 + 1
-                    head = _count_range(p, box, k, scheme, 0, middle)
-                    tail = _count_range(p, box, k, scheme, middle, n_points)
-                    assert (head[0] + tail[0], head[1] + tail[1]) == totals
+                    assert lines.count() == totals
 
     def test_batch_matches_fraction_reference(self, batched):
         rng = random.Random(2027)
@@ -512,7 +506,7 @@ class TestFilterDeferral:
             counts, deferred, exact = filter_verdicts(p, box, 1, scheme, 8)
             assert deferred[i]
             assert exact[i] == 1
-            assert list(line_counts(p, box, 1, scheme, 0, 8))[i] == 1
+            assert line_counts(p, box, 1, scheme)[i] == 1
 
     def test_grid_sum_past_2_53_is_bounded(self):
         # On grid:4 the axis-1 line x2 = 3/8 has its root at x1 = 0.  The two
@@ -521,7 +515,7 @@ class TestFilterDeferral:
         p = Poly.parse("x1", 2) - (2**53 + 1) * (Poly.parse("x2", 2) - Fraction(3, 8))
         counts, deferred, exact = filter_verdicts(p, UNIT_SQUARE, 1, GridScheme(4), 4)
         assert deferred[1] and exact[1] == 1
-        assert list(line_counts(p, UNIT_SQUARE, 1, GridScheme(4), 0, 4))[1] == 1
+        assert line_counts(p, UNIT_SQUARE, 1, GridScheme(4))[1] == 1
 
     def test_overflow_and_nan_are_deferred(self):
         # Powers of a numerator near 2**62 overflow float64: the two terms of
@@ -544,7 +538,7 @@ class TestFilterDeferral:
         p = Polynomial(2, {(1, 1): 10**400, (0, 0): Fraction(-1, 3)})
         lines = _AxisLines(p, UNIT_SQUARE, 1, scheme)
         assert lines.filter is None
-        assert list(line_counts(p, UNIT_SQUARE, 1, scheme, 0, 70)) == exact_line_counts(
+        assert line_counts(p, UNIT_SQUARE, 1, scheme) == exact_line_counts(
             p, UNIT_SQUARE, 1, scheme, 70
         )
 
@@ -560,7 +554,7 @@ class TestFilterDeferral:
             expected = [
                 int(c >= Fraction(1, 3)) if k == 1 else int(3 * c**300 >= 1) for c in bases
             ]
-            assert list(line_counts(p, UNIT_SQUARE, k, scheme, 0, 64)) == expected
+            assert line_counts(p, UNIT_SQUARE, k, scheme) == expected
 
 
 _coefficients = st.one_of(
@@ -587,8 +581,8 @@ def test_filter_decides_only_exact_counts(terms, intervals, scheme, k):
     if p.is_trivial:
         return
     box = Box(intervals)
-    n_points = crofton._lines_per_axis(box, scheme)
     lines = _AxisLines(p, box, k, scheme)
+    n_points = lines.lines
     if lines.filter is None:
         return
     counts, deferred, exact = filter_verdicts(p, box, k, scheme, n_points)

@@ -82,6 +82,17 @@ def test_measure_rejects_dimension_4():
         measure(p, Box.cube(0, 1, 4), 8)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("coefficient", [10**400, Fraction(-(10**400), 3)])
+def test_measure_rejects_coefficient_beyond_float64(d, coefficient):
+    p = Polynomial(d, {(1,) * d: 1, (0,) * d: coefficient})
+    with pytest.raises(ValueError, match="float64"):
+        measure(p, Box.cube(0, 1, d), 8)
+    # A coefficient that rounds to 0.0 or to a finite float64 is taken.
+    small = Polynomial(d, {(1,) * d: 1, (0,) * d: Fraction(-1, 10**400)})
+    assert measure(small, Box.cube(0, 1, d), 8).value >= 0.0
+
+
 class TestMarchingSquares:
     def test_vertical_line_exact(self):
         p = parse_polynomial("x1 - 1/2", 2)
@@ -350,14 +361,13 @@ def _whole_grid(p, box, n, start=True):
 
 
 def _scan(p, box, n):
-    """`_crossed_cells` in batches of 5 cells, joined: cells, corner values, corner offsets."""
+    """The runs of `_crossed_cells`, joined: cells, corner values, corner offsets."""
     d = box.dimension
     nodes = [meshing._node_array(a, b, n) for a, b in box.intervals]
     offsets = np.array(list(itertools.product((0, 1), repeat=d)))
-    batches = list(meshing._crossed_cells(p, nodes, offsets, 5))
-    assert all(len(cells) == 5 for cells, _ in batches[:-1])
-    cells = np.concatenate([c for c, _ in batches] + [np.empty(0, dtype=np.intp)])
-    values = np.concatenate([v for _, v in batches] + [np.empty((2**d, 0))], axis=1)
+    runs = list(meshing._crossed_cells(p, nodes, offsets))
+    cells = np.concatenate([c for c, _ in runs] + [np.empty(0, dtype=np.intp)])
+    values = np.concatenate([v for _, v in runs] + [np.empty((2**d, 0))], axis=1)
     return cells, values, offsets
 
 
@@ -401,7 +411,7 @@ _SEAM_BLOCK = 4
 class TestSlabSeams:
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        """Blocks of _SEAM_BLOCK cells per axis, `most` blocks per batch, batches of 5 cells."""
+        """Blocks of _SEAM_BLOCK cells per axis, `most` blocks per batch, slices of 5 cells."""
 
         def set_blocks(d, most):
             monkeypatch.setattr(meshing, "_scan_whole", lambda n, d: False)
@@ -442,7 +452,7 @@ class TestSlabSeams:
         box = Box.parse(box, d)
         assert meshing._scan_whole(n, d)
         whole = measure(p, box, n, keep_mesh=True)
-        assert whole.cells_with_sign_change <= meshing._BATCH_CELLS  # one batch
+        assert whole.cells_with_sign_change <= meshing._BATCH_CELLS  # one slice
         for most in (1, 3):
             small_blocks(d, most)
             sliced = measure(p, box, n, keep_mesh=True)
@@ -498,7 +508,7 @@ class TestBlockScan:
     @settings(max_examples=30)
     @given(st.sampled_from([2, 3]).flatmap(_scan_problems), st.integers(2, 4), st.integers(1, 3))
     def test_mesh_matches_whole_grid(self, problem, size, most):
-        # Blocks of 2-4 cells, 1-3 blocks per batch and batches of 5 cells
+        # Blocks of 2-4 cells, 1-3 blocks per batch and slices of 5 cells
         # reorder and regroup the crossed cells; the total (an exact sum) and
         # the dump (sorted by key and cell) stay those of the whole-grid scan.
         p, box, n = problem
@@ -675,6 +685,34 @@ class TestMeshMemory:
                 if not tracing:
                     tracemalloc.stop()
             assert peak < 8 * (n + 1) ** d / 2
+
+    @pytest.mark.parametrize(
+        "d, n, whole", [(2, 24, True), (2, 300, False), (3, 8, True), (3, 40, False)]
+    )
+    def test_march_batches_are_bounded(self, monkeypatch, d, n, whole):
+        # A whole-grid run and a block-scanned one both cross more than 5
+        # cells; with _BATCH_CELLS = 5 every `_march_batch` call gets at most
+        # 5 of them, and the total and the dump stay those of the default
+        # slices.
+        assert meshing._scan_whole(n, d) == whole
+        p = parse_polynomial(" + ".join(f"x{j}^2" for j in range(1, d + 1)) + " - 1/4", d)
+        box = Box.cube(-1, 1, d)
+        default = measure(p, box, n, keep_mesh=True)
+        assert default.cells_with_sign_change > 5
+        march_batch = meshing._march_batch
+        sizes = []
+
+        def counting(p, nodes, h, cells, corners, keep):
+            sizes.append(len(cells))
+            return march_batch(p, nodes, h, cells, corners, keep)
+
+        monkeypatch.setattr(meshing, "_march_batch", counting)
+        monkeypatch.setattr(meshing, "_BATCH_CELLS", 5)
+        sliced = measure(p, box, n, keep_mesh=True)
+        assert max(sizes) == 5
+        assert sum(sizes) == sliced.cells_with_sign_change == default.cells_with_sign_change
+        assert sliced.value.hex() == default.value.hex()
+        assert sliced.mesh.tobytes() == default.mesh.tobytes()
 
 
 class TestGridInvariances:
