@@ -20,6 +20,8 @@ import math
 import numpy as np
 
 _SUM_CAPACITY = 2**26
+# Values are binned in passes of at most this many, whose temporaries stay in cache.
+_PASS = 2**13
 
 
 class ExactSum:
@@ -46,7 +48,7 @@ class ExactSum:
                 self.bins[:-26] -= carry * 2.0**26
                 self.bins[26:] += carry
                 self.count = 2
-            room = _SUM_CAPACITY - self.count
+            room = min(_SUM_CAPACITY - self.count, _PASS)
             chunk, values = values[:room], values[room:]
             self.count += len(chunk)
             mantissa, exponent = np.frexp(chunk)

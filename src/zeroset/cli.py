@@ -335,7 +335,7 @@ def main(argv=None) -> int:
         if config.command != "sharpness":
             p = parse_polynomial(config.polynomial, config.dimension)
             if _meshes(config.command, config.dimension, config.dump_mesh):
-                check_coefficients(p)
+                check_coefficients(p, config.box)
     except ValueError as exc:
         _emit_error(EXIT_PARSE, "parse_error", str(exc))
         return EXIT_PARSE
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
         results = _execute(config, p)
         payload = {"config": _config_dict(config), "results": results}
         if config.format == "json":
-            text = json.dumps(payload, indent=2) + "\n"
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         else:
             header, rows = _flatten_for_csv(results)
             text = _csv_text(header, rows)

@@ -18,8 +18,8 @@ The vertex values of the other blocks are evaluated in batches into reused
 buffers of about 512 KiB, term by term in the same order everywhere, from
 the same factors as a whole-grid evaluation, so they are bit-identical to
 it.  Only crossed cells (corners of both signs) are kept, with their corner
-values, one run per batch of blocks in no set order, and each run is meshed
-in slices of at most `_BATCH_CELLS` cells.  The scan thus costs in
+values, one run per batch of blocks in no set order, and the runs are
+marched in chunks of up to `_MARCH_CELLS` cells.  The scan thus costs in
 proportion to the blocks near the zero set, and both meshes past it in
 proportion to the crossed cells.  A grid of up to 255**2 or 39**3 cells
 (1 MiB of vertex buffers) is evaluated whole, in one run, without blocks or
@@ -33,22 +33,30 @@ totals.  A kept mesh is sorted once, by key and then by flat cell index:
 squares by (case, flipped cells first, segment), cubes by (effective case,
 triangle).
 
-Table-driven cases: a cell's case code is one weighted sum of its corner
-signs, and tables indexed by it give the ambiguous faces, the primitive
-count and each primitive vertex's edge.  A square is the bottom face of a
-cube, and both follow one rule: a cell with ambiguous faces (diagonally
-alternating corner signs) samples the polynomial at those face centers,
-where a square's one face is the square itself.  When most centers are
-negative, the cell takes the table entry of the complementary case, 15 - c
-for squares and 255 - c for cubes, which crosses the same edges.
+Cases: a cell's case code is one weighted sum of its corner signs.  A
+square is the bottom face of a cube, and both follow one rule: a cell with
+ambiguous faces (diagonally alternating corner signs) samples the
+polynomial at those face centers, where a square's one face is the square
+itself.  When most centers are negative, the cell takes the table entry of
+the complementary case, 15 - c for squares and 255 - c for cubes, which
+crosses the same edges.  Two kernels then compute the same floats.  The
+flat kernel (`_march_batch`) looks up each primitive vertex's edge in
+tables indexed by case, for slices of up to `_BATCH_CELLS` cells of any
+cases.  The folded kernel (`_fold`) meshes all the cells of one case in a
+chunk at once: the case fixes each vertex's edge, so t is computed once per
+crossed edge and the constant coordinates fold away.  Its cost, some 15
+NumPy calls per primitive of the case, pays off only on many cells, so only
+cases of at least `_FOLD_CELLS` cells in the chunk are folded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -77,13 +85,28 @@ def check_resolution(resolution: int) -> None:
         raise ValueError("resolution must be at least 2 cells per axis")
 
 
-def check_coefficients(p: Polynomial) -> None:
-    """Meshes evaluate p in float64, so each coefficient must convert to a finite one."""
-    for c in p.terms.values():
-        try:
-            float(c)
-        except OverflowError:
-            raise ValueError("a coefficient is beyond the float64 range meshes need") from None
+def check_coefficients(p: Polynomial, box: Box) -> None:
+    """Meshes evaluate p in float64 on `box`, so its coefficients and ends must be
+    finite float64s, and reach + log2(terms) + 1 < 1023 (`_reach`) keeps every
+    vertex value, and every difference of two, finite."""
+    try:
+        ends = [[x.numerator / x.denominator for x in interval] for interval in box.intervals]
+        reach = _reach([(e, float(c)) for e, c in p.terms.items()], ends)
+    except OverflowError:
+        raise ValueError("a coefficient or box end is beyond the float64 range") from None
+    if reach + math.log2(len(p.terms)) + 1 >= 1023:
+        raise ValueError("the polynomial's values on the box pass the float64 range meshes need")
+
+
+def _reach(terms: list[tuple], ends: Iterable[tuple]) -> float:
+    """log2 of a bound on |c| times any product of x**e factors of the
+    (exponents, float c) `terms` in a box with these float `ends`."""
+    magnitudes = [math.log2(max(1.0, -a, b)) for a, b in ends]
+    if not any(magnitudes):  # every |x| <= 1
+        return math.log2(max(1.0, *(abs(c) for _, c in terms)))
+    return max(
+        math.log2(max(1.0, abs(c))) + sum(map(operator.mul, e, magnitudes)) for e, c in terms
+    )
 
 
 def _node_array(a: Fraction, b: Fraction, n: int) -> np.ndarray:
@@ -190,11 +213,8 @@ class _Certificate:
         # 2**reach; eta covers 2d such errors per term, in the vertex values
         # and in the enclosure, twice over.  So a block whose S is subnormal
         # is never skipped.
-        magnitudes = [math.log2(max(1.0, abs(x[0]), abs(x[-1]))) for x in nodes]
-        reach = max(
-            math.log2(max(1.0, abs(c))) + sum(e * m for e, m in zip(mono, magnitudes))
-            for c, mono in zip(coefficients[:, 0].tolist(), monomials)
-        )
+        terms = list(zip(monomials, coefficients[:, 0].tolist()))
+        reach = _reach(terms, [(x[0], x[-1]) for x in nodes])
         self.eta = len(monomials) * d * 2.0 ** (reach - 1019) if reach < 1000 else np.inf
 
     def keep(self, rows: slice) -> np.ndarray:
@@ -347,17 +367,33 @@ def _block_crossings(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray
 
 
 def _crossed_cells(p: Polynomial, nodes: list[np.ndarray], corners: np.ndarray):
-    """The cells of the grid on `nodes` whose corners disagree in sign, in no particular order.
+    """The cells of the grid on `nodes` whose corners disagree in sign, in no
+    particular order: chunks of up to _MARCH_CELLS (flat indices in the n**d
+    cell grid, corner values with one row per entry of `corners`).
 
-    Returns runs of (flat indices in the n**d cell grid, corner values with
-    one row per entry of `corners`); a run may be empty.  A small grid (see
-    `_scan_whole`) is evaluated whole, in one run, and a larger one block
-    by block, in one run per batch of blocks.
+    A small grid (see `_scan_whole`) is evaluated whole, and a larger one
+    block by block, its runs copied into buffers reused for the whole mesh:
+    a chunk is gone once the next one is asked for.
     """
     d, n = len(nodes), len(nodes[0]) - 1
     if _scan_whole(n, d):
-        return [_grid_crossings(p, nodes, corners)]
-    return _block_crossings(p, nodes, corners)
+        cells, values = _grid_crossings(p, nodes, corners)
+        for i in range(0, len(cells), _MARCH_CELLS):
+            yield cells[i : i + _MARCH_CELLS], values[:, i : i + _MARCH_CELLS]
+        return
+    chunk = np.empty(_MARCH_CELLS, dtype=np.intp), np.empty((len(corners), _MARCH_CELLS))
+    count = 0
+    for cells, values in _block_crossings(p, nodes, corners):
+        while len(cells):
+            size = min(len(cells), _MARCH_CELLS - count)
+            chunk[0][count : count + size] = cells[:size]
+            chunk[1][:, count : count + size] = values[:, :size]
+            cells, values, count = cells[size:], values[:, size:], count + size
+            if count == _MARCH_CELLS:
+                yield chunk
+                count = 0
+    if count:
+        yield chunk[0][:count], chunk[1][:, :count]
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +424,8 @@ _EDGE_A, _EDGE_B = np.array([
 # a crossing at fraction t of the edge lies at start + t * step.
 _EDGE_START = _CORNER_OFFSETS[_EDGE_A].T.astype(float)
 _EDGE_STEP = _CORNER_OFFSETS[_EDGE_B].T - _EDGE_START
+# The axis each edge runs along: the one coordinate its crossings vary in.
+_EDGE_AXIS = _EDGE_STEP.argmax(axis=0)
 
 
 # The faces whose centers vote on ambiguous cells, corners in cyclic order.
@@ -395,6 +433,86 @@ _FACES = {
     2: [(0, 1, 2, 3)],
     3: [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 5, 4), (3, 2, 6, 7), (0, 3, 7, 4), (1, 2, 6, 5)],
 }
+
+
+# `_fold`'s registers: per edge e, t * h at e and (t - 1) * h at 12 + e; per
+# pair p of parallel edges f < g, (t_f - t_g) * h at 24 + p; h_j at _H + j;
+# then the steps' results.
+_A, _B, _AXES, _STARTS = (x.tolist() for x in (_EDGE_A, _EDGE_B, _EDGE_AXIS, _EDGE_START))
+_PAIRS = [(f, g) for g in range(12) for f in range(g) if _AXES[f] == _AXES[g]]
+_H = 24 + len(_PAIRS)
+
+
+@functools.cache
+def _sides(e0: int, e: int) -> tuple:
+    """Per axis j, the side (x_j(e) - x_j(e0)) * h_j between primitive vertices
+    on edges e0 and e, as `_march_batch` computes it, as (sign, register).
+
+    A vertex lies at 0.0 + t * 1.0 == t, t in [0, 1], on its edge's axis and
+    at 0.0 or 1.0 on the others, so the side is the register times the
+    sign's sign, up to the sign of a zero; sign 0 marks a 0 and +-2 a constant.
+    """
+    sides = []
+    for j in range(3):
+        x0, x = (None if _AXES[f] == j else _STARTS[j][f] for f in (e0, e))
+        if x is None and x0 is None:  # (t_e - t_e0) * h == -((t_e0 - t_e) * h)
+            sides.append((1 if e < e0 else -1, 24 + _PAIRS.index(tuple(sorted((e, e0))))))
+        elif x is None or x0 is None:  # (t - x0) * h, or (x - t0) * h == -((t0 - x) * h)
+            sides.append((1, 12 * (x0 == 1) + e) if x is None else (-1, 12 * (x == 1) + e0))
+        else:
+            sides.append((2 * int(x - x0), _H + j))
+    return tuple(sides)
+
+
+@functools.cache
+def _primitive(primitive: tuple) -> tuple:
+    """The steps (ufunc, x, y) whose last result is a segment's squared length
+    or a triangle's squared cross-product norm, bit-identical to
+    `_march_batch`'s; and the registers its sides read.
+
+    x and y are registers, or negative offsets to earlier steps' results at
+    the end of the registers.  Products by a constant 0 are left out and a
+    component s*P - r*Q of the cross product is computed as P - Q or P + Q,
+    which changes only signs of values squared afterwards.
+    """
+    e0, e1, *e2 = primitive
+    a, b = _sides(e0, e1), _sides(e0, e2[0]) if e2 else ()
+    steps, total = [], None  # total: the running sum's step
+    for k, l in ((1, 2), (2, 0), (0, 1)) if b else ((0, 0), (1, 1)):
+        pairs = ((a[k], b[l]), (a[l], b[k])) if b else ((a[k], a[k]),)
+        products = [(p, q) for p, q in pairs if p[0] and q[0]]
+        if not products:
+            continue
+        steps += [(np.multiply, p[1], q[1]) for p, q in products]
+        if len(products) == 2:
+            (p, q), (u, v) = products
+            steps.append((np.subtract if p[0] * q[0] * u[0] * v[0] > 0 else np.add, -2, -1))
+        if b:  # a component of the cross product, squared
+            steps.append((np.multiply, -1, -1))
+        if total is not None:
+            steps.append((np.add, total - len(steps), -1))
+        total = len(steps) - 1
+    return tuple(steps), frozenset(r for s, r in a + b if s)
+
+
+@functools.cache
+def _plan(d: int, case: int) -> tuple:
+    """How `_fold` meshes the cells of one case, which fixes its crossed edges
+    and so each primitive vertex's edge: the edges, their corner rows and
+    axes, the steps of each primitive (`_primitive`), whether they read a
+    (t - 1) * h, and per (t_f - t_g) * h they read, the slots of f and g
+    among the edges and its register."""
+    edges = [e for e in range(d * 2 ** (d - 1)) if (case >> _A[e] ^ case >> _B[e]) & 1]
+    rows = np.array([[_A[e], _B[e], _AXES[e]] for e in edges], dtype=np.intp).reshape(-1, 3).T
+    primitives, read = [], set()
+    for primitive in (SEGMENTS if d == 2 else TRIANGLES)[case]:
+        steps, registers = _primitive(primitive)
+        primitives.append(steps)
+        read |= registers
+    slot = edges.index
+    pairs = [(slot(_PAIRS[r - 24][0]), slot(_PAIRS[r - 24][1]), r) for r in read if 24 <= r < _H]
+    w = any(12 <= r < 24 for r in read)
+    return tuple(edges), rows[:2], rows[2], tuple(primitives), w, tuple(pairs)
 
 
 class _Cases:
@@ -422,8 +540,15 @@ class _Cases:
 
 
 _CASES = {2: _Cases(SEGMENTS, 2), 3: _Cases(TRIANGLES, 3)}
-# Each run of crossed cells is meshed in slices of at most this many cells,
-# so the per-primitive arrays stay small.
+# Crossed cells are marched in chunks of up to _MARCH_CELLS.  In a chunk, the
+# cases of at least _FOLD_CELLS cells go through `_fold`, in slices of at most
+# _FOLD_SLICE cells, and the other cells through `_march_batch`, in slices of
+# at most _BATCH_CELLS, so that the kernels' temporaries stay small.  A fold
+# call has a fixed cost that only a case of many cells repays: 384 cells was
+# the crossover measured on the sharpness, sphere and random fuzz meshes.
+_MARCH_CELLS = 1 << 14
+_FOLD_CELLS = 384
+_FOLD_SLICE = 1 << 12
 _BATCH_CELLS = 1024
 
 
@@ -437,14 +562,21 @@ def _march(p: Polynomial, box: Box, n: int, keep: bool):
     d = box.dimension
     nodes = [_node_array(a, b, n) for a, b in box.intervals]
     h = np.array([float((b - a) / n) for a, b in box.intervals])
+    weights = _CASES[d].bits.astype(np.uint8)[:, None]
     crossed = 0
     total = ExactSum()
     kept = []
-    for cells, values in _crossed_cells(p, nodes, _CORNER_OFFSETS[: 2**d, :d]):
+    for cells, corners in _crossed_cells(p, nodes, _CORNER_OFFSETS[: 2**d, :d]):
         crossed += len(cells)
+        cases = (weights * (corners < 0.0)).sum(axis=0, dtype=np.uint8)
+        effective = _vote(p, nodes, h, cells, cases)
+        if not keep:
+            total.add(_measures(h, corners, effective))
+            continue
         for i in range(0, len(cells), _BATCH_CELLS):
             batch = slice(i, i + _BATCH_CELLS)
-            measures, primitives = _march_batch(p, nodes, h, cells[batch], values[:, batch], keep)
+            dump = nodes, cells[batch], cases[batch]
+            measures, primitives = _march_batch(h, corners[:, batch], effective[batch], dump)
             total.add(measures)
             kept.append(primitives)
     mesh = None
@@ -456,28 +588,95 @@ def _march(p: Polynomial, box: Box, n: int, keep: bool):
     return total.value(), crossed, mesh
 
 
-def _march_batch(
-    p: Polynomial, nodes: list[np.ndarray], h: np.ndarray, cells: np.ndarray, corners, keep: bool
-):
-    """The segment lengths or triangle areas of a batch of crossed cells, given
-    their corner values, and with `keep` their primitives' rows, dump-order keys and cells."""
-    d, m = len(nodes), len(cells)
+def _vote(p: Polynomial, nodes: list[np.ndarray], h: np.ndarray, cells: np.ndarray, cases):
+    """The cells' effective case codes: a cell whose ambiguous faces mostly
+    sample negative at their centers takes the complementary case's entry."""
+    d = len(nodes)
     table = _CASES[d]
-    cases = table.bits @ (corners < 0.0)
-
-    # Face-center rule: a cell whose ambiguous faces mostly sample negative
-    # at their centers takes the complementary case's table entry.
-    effective = cases
     voting = np.flatnonzero(table.faces[cases])
-    if len(voting):
-        faces = table.faces[cases[voting], None] >> np.arange(len(_FACES[d])) & 1
-        which, face = np.nonzero(faces)  # voting cell, ambiguous face
-        origin = _origins(nodes, cells[voting[which]])
-        centers = [x + table.centers[j][face] * h[j] for j, x in enumerate(origin)]
-        negative = np.where(_values_at(p, centers) < 0.0, 1.0, -1.0)
-        flip = voting[np.bincount(which, negative, len(voting)) > 0]
-        effective = cases.copy()
-        effective[flip] = 2 ** 2**d - 1 - cases[flip]
+    if not len(voting):
+        return cases
+    faces = table.faces[cases[voting], None] >> np.arange(len(_FACES[d])) & 1
+    which, face = np.nonzero(faces)  # voting cell, ambiguous face
+    origin = _origins(nodes, cells[voting[which]])
+    centers = [x + table.centers[j][face] * h[j] for j, x in enumerate(origin)]
+    negative = np.where(_values_at(p, centers) < 0.0, 1.0, -1.0)
+    flip = voting[np.bincount(which, negative, len(voting)) > 0]
+    effective = cases.copy()
+    effective[flip] = 2 ** 2**d - 1 - cases[flip]
+    return effective
+
+
+def _measures(h: np.ndarray, corners: np.ndarray, effective: np.ndarray) -> np.ndarray:
+    """The segment lengths or triangle areas of a chunk of cells, in no set
+    order; the columns of `corners` are reordered in place."""
+    d, table = len(h), _CASES[len(h)]
+    counts = np.bincount(effective, minlength=len(table.counts))
+    common = counts >= _FOLD_CELLS
+    rare = len(effective) - int(counts[common].sum())
+    out, done = np.empty(int(counts @ table.counts)), 0
+    if rare < len(effective):
+        # The cells of rare cases first, under the code 0 no crossed cell has,
+        # and then those of each common case in turn.
+        key = np.where(common, np.arange(len(counts)), 0).astype(np.uint8)
+        order = np.argsort(key[effective], kind="stable")
+        for row in corners:  # in place, so that no second chunk is held
+            row[:] = row[order]
+        effective = effective[order]
+        ends = (rare + np.cumsum(counts * common)).tolist()
+        for case in np.flatnonzero(common).tolist():
+            for start in range(ends[case] - counts[case], ends[case], _FOLD_SLICE):
+                cells = corners[:, start : min(start + _FOLD_SLICE, ends[case])]
+                size = table.counts[case] * cells.shape[1]
+                _fold(_plan(d, case), cells, h, out[done : done + size].reshape(-1, cells.shape[1]))
+                done += size
+        np.sqrt(out[:done], out=out[:done])
+        if d == 3:
+            out[:done] *= 0.5
+        corners, effective = corners[:, :rare], effective[:rare]
+    for i in range(0, rare, _BATCH_CELLS):
+        batch = slice(i, i + _BATCH_CELLS)
+        measures, _ = _march_batch(h, corners[:, batch], effective[batch])
+        out[done : done + len(measures)] = measures
+        done += len(measures)
+    return out
+
+
+def _fold(plan: tuple, corners: np.ndarray, h: np.ndarray, out: np.ndarray) -> None:
+    """Per primitive of one case (a row of `out`), the squared length (d=2) or
+    squared cross-product norm (d=3) in each cell, given its corner values (a
+    column of `corners`)."""
+    edges, rows, axes, primitives, w, pairs = plan
+    va, vb = corners[rows]
+    t = np.divide(va, np.subtract(va, vb, out=vb), out=va)
+    hs = h[axes, None]
+    registers = [None] * _H + h.tolist()
+    for f, g, r in pairs:
+        registers[r] = (t[f] - t[g]) * hs[f]
+    for e, side in zip(edges, np.multiply(t, hs, out=vb)):
+        registers[e] = side
+    if w:
+        for e, side in zip(edges, np.multiply(np.subtract(t, 1.0, out=t), hs, out=t)):
+            registers[12 + e] = side
+    leaves = len(registers)
+    for row, steps in enumerate(primitives):
+        for ufunc, x, y in steps[:-1]:
+            registers.append(ufunc(registers[x], registers[y]))
+        ufunc, x, y = steps[-1]
+        ufunc(registers[x], registers[y], out=out[row])
+        del registers[leaves:]
+
+
+def _march_batch(h: np.ndarray, corners: np.ndarray, effective: np.ndarray, dump=None):
+    """The segment lengths or triangle areas of a batch of crossed cells, given
+    their corner values and effective case codes.
+
+    With `dump`, the (nodes, cells, case codes) of the batch, it also
+    returns the primitives' rows, dump-order keys and cells.
+    """
+    d, m = len(h), corners.shape[1]
+    table = _CASES[d]
+    effective = effective.astype(np.intp)
 
     # One row per primitive: cell by cell, each cell's primitives in table order.
     counts = table.counts[effective]
@@ -500,13 +699,15 @@ def _march_batch(
         (a0, b0), (a1, b1), (a2, b2) = sides
         c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
         measures = 0.5 * np.sqrt((c0 * c0 + c1 * c1) + c2 * c2)
-    if not keep:
+    if dump is None:
         return measures, None
+    nodes, cells, cases = dump
     owner = cells[cell]
     origin = _origins(nodes, owner)
     rows = np.column_stack([origin[j] + points[j][v] * h[j] for v in range(d) for j in range(d)])
     key = row  # cubes by (effective case, triangle), squares (case, flipped first, segment)
     if d == 2:
+        cases = cases.astype(np.intp)
         key = (2 * cases[cell] + (effective == cases)[cell]) * table.width + slot
     return measures, (rows, key, owner)
 
@@ -537,7 +738,7 @@ def measure(p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False) -
         count, _ = _AxisLines(p, box, 1, GridScheme(1)).count()
         return MeasureEstimate(float(count), _METHODS[d], 1, 0)
     check_resolution(resolution)
-    check_coefficients(p)
+    check_coefficients(p, box)
     total, crossed, mesh = _march(p, box, resolution, keep_mesh)
     return MeasureEstimate(total, _METHODS[d], resolution, crossed, mesh)
 

@@ -221,6 +221,24 @@ class TestExitCodes:
         assert out == ""
         assert "float64" in json.loads(err)["error"]["message"]
 
+    def test_values_beyond_float64_are_2_before_any_work(self, capsys, monkeypatch):
+        # Each coefficient is a finite float64, but the vertex values at
+        # x1 = 2 are not: without the check the report held "value": NaN.
+        def no_work(*args, **kwargs):
+            raise AssertionError("an estimate ran before the input was checked")
+
+        for name in ("crofton_upper_estimate", "measure", "theorem_bound"):
+            monkeypatch.setattr(cli, name, no_work)
+        big = str(10**308)
+        code, out, err = run_cli(
+            ["report", "--poly", f"{big}*x1^2*x2 - {big}", "--dim", "2", "--box", "0,2",
+             "--scheme", "grid:4", "--resolution", "8"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "parse_error"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -72,6 +72,33 @@ class TestExactSum:
         # exact however many values follow.
         assert np.abs(total.bins).max() < 2.0**26 + 2.0**27 * (capacity - 1)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(_FINITE, min_size=1, max_size=40),
+        st.integers(_exact_sum._PASS + 1, 3 * _exact_sum._PASS),
+        st.lists(st.integers(0, 3 * _exact_sum._PASS), max_size=4),
+    )
+    def test_many_values_across_passes(self, pattern, count, cuts):
+        # More values than one pass holds, in batches that start and end
+        # anywhere relative to the pass boundaries.
+        values = (pattern * (count // len(pattern) + 1))[:count]
+        assert _sum_batches(_split(values, cuts)).hex() == math.fsum(values).hex()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(_FINITE, min_size=1, max_size=40),
+        st.integers(_exact_sum._PASS + 1, 3 * _exact_sum._PASS),
+        st.integers(3, _exact_sum._PASS - 1),
+    )
+    def test_carries_inside_a_pass(self, pattern, count, capacity):
+        # A capacity that does not divide the pass size puts carries in the
+        # middle of what one add would otherwise bin in a single pass.
+        values = (pattern * (count // len(pattern) + 1))[:count]
+        total = ExactSum()
+        with mock.patch.object(_exact_sum, "_SUM_CAPACITY", capacity):
+            total.add(np.array(values))
+        assert total.value().hex() == math.fsum(values).hex()
+
     def test_carries_keep_subnormals_exact(self):
         values = [2.0**-1074, 3 * 2.0**-1074, -(2.0**-1060), 2.0**-1030] * 40
         with mock.patch.object(_exact_sum, "_SUM_CAPACITY", 5):

@@ -93,6 +93,20 @@ def test_measure_rejects_coefficient_beyond_float64(d, coefficient):
     assert measure(small, Box.cube(0, 1, d), 8).value >= 0.0
 
 
+def test_measure_rejects_values_beyond_float64():
+    # Finite coefficients whose terms pass 2**1022 on the box: some vertex
+    # value, or a difference of two, would overflow to inf and the mesh to NaN.
+    big = 10**308
+    p = Polynomial(2, {(2, 1): big, (0, 0): -big})
+    with pytest.raises(ValueError, match="float64"):
+        measure(p, Box.cube(0, 2, 2), 8)
+    with pytest.raises(ValueError, match="float64"):  # a box end, not a value
+        measure(parse_polynomial("x1*x2 - 1/4", 2), Box(((0, 10**400), (0, 1))), 8)
+    # The memory test's polynomial, scaled by 10**302, stays within range.
+    scaled = Polynomial(3, {e: c * 10**302 for e, c in sharpness_polynomial(3, 512).terms.items()})
+    meshing.check_coefficients(scaled, UNIT_CUBE)
+
+
 class TestMarchingSquares:
     def test_vertical_line_exact(self):
         p = parse_polynomial("x1 - 1/2", 2)
@@ -361,11 +375,12 @@ def _whole_grid(p, box, n, start=True):
 
 
 def _scan(p, box, n):
-    """The runs of `_crossed_cells`, joined: cells, corner values, corner offsets."""
+    """The chunks of `_crossed_cells`, joined: cells, corner values, corner offsets."""
     d = box.dimension
     nodes = [meshing._node_array(a, b, n) for a, b in box.intervals]
     offsets = np.array(list(itertools.product((0, 1), repeat=d)))
-    runs = list(meshing._crossed_cells(p, nodes, offsets))
+    # A chunk may be a view of buffers that the next one reuses.
+    runs = [(c.copy(), v.copy()) for c, v in meshing._crossed_cells(p, nodes, offsets)]
     cells = np.concatenate([c for c, _ in runs] + [np.empty(0, dtype=np.intp)])
     values = np.concatenate([v for _, v in runs] + [np.empty((2**d, 0))], axis=1)
     return cells, values, offsets
@@ -662,6 +677,84 @@ class TestCaseTables:
                     assert [s + t for s, t in zip(start, step)] == offsets[b]
 
 
+def _case_corners(rng, code, d, m):
+    """m cells of random finite corner values with the signs of case `code`:
+    exact zeros (which count as positive), magnitudes near 2**1000 and
+    2**-1000, and edges whose two corners differ in sign only."""
+    negative = ((code >> np.arange(2**d)) & 1 == 1)[:, None]
+    magnitudes = np.exp2(rng.uniform(-4, 4, (2**d, m)))
+    quarter = m // 4
+    magnitudes[:, :quarter] *= 2.0 ** rng.choice([-1000, 1000], (2**d, quarter))
+    magnitudes[:, quarter : 2 * quarter] = magnitudes[:1, quarter : 2 * quarter]
+    values = np.where(negative, -magnitudes, magnitudes)
+    values[:, 2 * quarter : 3 * quarter] *= negative  # positive corners at 0.0
+    return values
+
+
+class TestFoldedKernel:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_flat_kernel_in_every_case(self, monkeypatch, d):
+        # Every case code, with its own table entry and with the complementary
+        # case's (the two outcomes of the face vote): `_fold` gives the same
+        # segment lengths or triangle areas as `_march_batch`, bit for bit.
+        rng = np.random.default_rng(2024)
+        h = np.array([1 / 3, 0.25, 2.0])[:d]
+        full = 2 ** 2**d - 1
+        for code in range(1, full):
+            corners = _case_corners(rng, code, d, 64)
+            for effective in {code, full - code}:
+                measures = []
+                for fold in (1, 10**9):  # everything folded, nothing folded
+                    monkeypatch.setattr(meshing, "_FOLD_CELLS", fold)
+                    codes = np.full(64, effective, dtype=np.uint8)
+                    measures.append(np.sort(meshing._measures(h, corners.copy(), codes)))
+                assert len(measures[0]) == 64 * len((TRIANGLES if d == 3 else SEGMENTS)[effective])
+                assert measures[0].tobytes() == measures[1].tobytes(), (code, effective)
+
+    @pytest.mark.parametrize("fold", [1, 10**9])
+    def test_totals_whether_or_not_cases_fold(self, monkeypatch, fold):
+        # The golden meshes and the sharpness family, with every case folded
+        # and with none: the totals and crossed counts of the default split.
+        meshes = [(t, b, n, 2, total, crossed) for _, t, b, n, total, crossed, _ in _SQUARES_GOLDEN]
+        meshes += [(t, b, n, 3, total, crossed) for _, t, b, n, total, crossed, _ in _CUBES_GOLDEN]
+        for d, n in ((2, 2048), (3, 128)):
+            for k in (8, 64, 512):
+                default = measure(sharpness_polynomial(d, k), Box.cube(0, 1, d), n)
+                meshes.append((str(sharpness_polynomial(d, k)), "0,1", n, d, default.value.hex(),
+                               default.cells_with_sign_change))
+        monkeypatch.setattr(meshing, "_FOLD_CELLS", fold)
+        for text, box, n, d, total, crossed in meshes:
+            estimate = measure(parse_polynomial(text, d), Box.parse(box, d), n)
+            assert (estimate.value.hex(), estimate.cells_with_sign_change) == (total, crossed), text
+
+    @pytest.mark.parametrize(
+        "text, box, n, d",
+        [
+            (_SADDLES, "-1,1", 64, 2),
+            (_FACE_SADDLES, "-1,1", 17, 3),
+            ("x1*x2*x3 - 1/64", "0,1", 48, 3),  # block-scanned
+        ],
+    )
+    def test_small_chunks(self, monkeypatch, text, box, n, d):
+        # Chunks of 5 cells, every case of a chunk folded: no `_fold` call
+        # gets more than 5 cells, and the total does not change.
+        p, box = parse_polynomial(text, d), Box.parse(box, d)
+        default = measure(p, box, n)
+        fold, sizes = meshing._fold, []
+
+        def counting(plan, corners, h, out):
+            sizes.append(corners.shape[1])
+            return fold(plan, corners, h, out)
+
+        monkeypatch.setattr(meshing, "_fold", counting)
+        monkeypatch.setattr(meshing, "_MARCH_CELLS", 5)
+        monkeypatch.setattr(meshing, "_FOLD_CELLS", 1)
+        chunked = measure(p, box, n)
+        assert 0 < max(sizes) <= 5
+        assert chunked.value.hex() == default.value.hex()
+        assert chunked.cells_with_sign_change == default.cells_with_sign_change
+
+
 class TestMeshMemory:
     @pytest.mark.parametrize("d, n", [(2, 2048), (3, 128)])
     def test_no_whole_float_grid(self, d, n):
@@ -702,9 +795,9 @@ class TestMeshMemory:
         march_batch = meshing._march_batch
         sizes = []
 
-        def counting(p, nodes, h, cells, corners, keep):
-            sizes.append(len(cells))
-            return march_batch(p, nodes, h, cells, corners, keep)
+        def counting(h, corners, effective, dump=None):
+            sizes.append(corners.shape[1])
+            return march_batch(h, corners, effective, dump)
 
         monkeypatch.setattr(meshing, "_march_batch", counting)
         monkeypatch.setattr(meshing, "_BATCH_CELLS", 5)
