@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
-        ("bound", "closed-form degree bound (cubes only)"),
+        ("bound", "closed-form degree bound on any box"),
         ("crofton", "axis-line root-count integral estimate"),
         ("measure", "direct level-set measure estimate (d <= 3)"),
         ("sharpness", "run the sharpness family x1*...*xd - 1/n on the unit cube"),
@@ -174,8 +174,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         poly_text = None
     else:
         box = Box.parse(args.box, dimension)
-        if args.command == "bound" and not box.is_cube:
-            raise ValueError("the bound is stated for cubes only")
         poly_text = args.poly
     return RunConfig(
         command=args.command,
@@ -303,9 +301,7 @@ def _execute(config: RunConfig, p: Polynomial | None) -> dict:
         results["sharpness"] = [asdict(r) for r in rows]
         return results
 
-    if config.command == "bound" or (
-        config.command in ("crofton", "report") and config.box.is_cube
-    ):
+    if config.command in ("bound", "crofton", "report"):
         results["theorem_bound"] = str(theorem_bound(p, config.box))
     if config.command in ("crofton", "report"):
         crofton = crofton_upper_estimate(p, config.box, config.scheme)

@@ -3,7 +3,8 @@
 Two exports matter most:
 
 * `theorem_bound` — the closed-form degree bound on the (d-1)-measure of the
-  zero set inside a cube: (sum of per-variable degrees) * side**(d-1).
+  zero set inside a box B: sum_k deg_{x_k}(p) * vol(B) / (b_k - a_k).  On a
+  cube of side r this is the paper's (sum of per-variable degrees) * r**(d-1).
 * `crofton_upper_estimate` — the axis-line integral estimate: for each axis k,
   integrate over the projected box the number of roots the polynomial has
   along the axis-k line through each base point, then sum over axes.  Lines
@@ -92,17 +93,6 @@ class Box:
         return len(self.intervals)
 
     @property
-    def is_cube(self) -> bool:
-        return len(set(self.intervals)) <= 1
-
-    @property
-    def side(self) -> Fraction:
-        if not self.is_cube:
-            raise ValueError("box is not a cube")
-        a, b = self.intervals[0]
-        return b - a
-
-    @property
     def volume(self) -> Fraction:
         v = Fraction(1)
         for a, b in self.intervals:
@@ -184,15 +174,25 @@ class CroftonResult:
 # ---------------------------------------------------------------------------
 
 
-def theorem_bound(p: Polynomial, cube: Box) -> Fraction:
-    """(sum_k deg_{x_k} p) * side**(d-1), exact.  Cubes only."""
+def theorem_bound(p: Polynomial, box: Box) -> Fraction:
+    """sum_k deg_{x_k}(p) * prod_{j != k} (b_j - a_j), exact, on any box.
+
+    Each axis-k line meets the zero set in at most deg_{x_k}(p) points, so the
+    axis-k integral is at most deg_{x_k}(p) times the projected box's volume.
+    On a cube of side r this is the paper's (sum_k deg_{x_k} p) * r**(d-1).
+    """
     if p.is_trivial:
         raise TrivialPolynomialError("the bound requires a nontrivial polynomial")
-    if p.dimension != cube.dimension:
+    if p.dimension != box.dimension:
         raise ValueError("polynomial and box dimensions differ")
-    if not cube.is_cube:
-        raise ValueError("the bound is stated for cubes only")
-    return p.degree_sum() * cube.side ** (cube.dimension - 1)
+    # One pass over the widths n/d in integers: after each axis the bound so
+    # far is num/den and the volume so far is vol/den.
+    num, vol, den = 0, 1, 1
+    for k, (a, b) in enumerate(box.intervals, 1):
+        n = b.numerator * a.denominator - a.numerator * b.denominator
+        d = a.denominator * b.denominator
+        num, vol, den = num * n + p.degree_in(k) * vol * d, vol * n, den * d
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

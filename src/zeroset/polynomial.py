@@ -83,12 +83,6 @@ class Polynomial:
             raise TrivialPolynomialError("degree of the zero polynomial is undefined")
         return max(e[k - 1] for e in self.terms)
 
-    def degree_sum(self) -> int:
-        """Sum over k of the degree in x_k (the bound's degree constant)."""
-        if self.is_trivial:
-            raise TrivialPolynomialError("degree of the zero polynomial is undefined")
-        return sum(self.degree_in(k) for k in range(1, self.dimension + 1))
-
     def _check_axis(self, k: int) -> None:
         if not 1 <= k <= self.dimension:
             raise ValueError(f"axis {k} out of range 1..{self.dimension}")

@@ -36,6 +36,17 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(out)["results"]["theorem_bound"] == "4/3"
 
+    @pytest.mark.parametrize(
+        "box_args, expected",
+        [(["--box", "0,1;1,2"], "2"), (["--box=-1/3,5/7;1/2,9/4"], "235/84")],
+        ids=["translated-cube", "rational-box"],
+    )
+    def test_any_box(self, capsys, box_args, expected):
+        # sum_k deg_k * prod_{j != k} (b_j - a_j): 22/21 + 7/4 on the rational box.
+        code, out, _ = run_cli(["bound", "--poly", "x1*x2 - 1/4", "--dim", "2"] + box_args, capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["theorem_bound"] == expected
+
 
 class TestExitCodes:
     def test_syntax_error_is_2(self, capsys):
@@ -150,9 +161,8 @@ class TestExitCodes:
             ["sharpness", "--dim", "2", "--n-list", "0,4"],
             ["sharpness", "--dim", "1", "--n-list", "4"],
             ["measure", "--poly", "x1*x2*x3*x4 - 1/2", "--dim", "4"],
-            ["bound", "--poly", "x1*x2 - 1/4", "--dim", "2", "--box", "0,1;0,2"],
         ],
-        ids=["n-decreasing", "n-zero", "sharpness-d1", "measure-d4", "bound-non-cube"],
+        ids=["n-decreasing", "n-zero", "sharpness-d1", "measure-d4"],
     )
     def test_bad_configuration_is_2_before_any_work(self, capsys, monkeypatch, argv):
         def no_work(*args, **kwargs):
@@ -311,8 +321,21 @@ class TestReports:
         )
         assert code == 0
         results = json.loads(out)["results"]
-        assert "theorem_bound" not in results
+        assert results["theorem_bound"] == "3"
         assert "crofton" in results and "measure" in results
+
+    def test_non_cube_report_bound_in_json_and_csv(self, capsys):
+        args = [
+            "report", "--poly", "x1*x2 - 1/4", "--dim", "2",
+            "--box", "0,1;0,2", "--scheme", "grid:8", "--resolution", "8",
+        ]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["theorem_bound"] == "3"
+        code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+        assert code == 0
+        header, row = [line.split(",") for line in out.strip().split("\n")]
+        assert (header[0], row[0]) == ("theorem_bound", "3")
 
     def test_csv_and_json_values_match(self, capsys, tmp_path):
         args = [

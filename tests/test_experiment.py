@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeroset import GridScheme
+from zeroset import Box, GridScheme, theorem_bound
 from zeroset.experiment import sharpness_experiment, sharpness_polynomial
 
 from oracles import arc_length_oracle
@@ -15,7 +15,7 @@ class TestSharpnessPolynomial:
 
     def test_degree_sum_is_dimension(self):
         for d in (2, 3, 5):
-            assert sharpness_polynomial(d, 7).degree_sum() == d
+            assert theorem_bound(sharpness_polynomial(d, 7), Box.cube(0, 1, d)) == d
 
     def test_validation(self):
         with pytest.raises(ValueError):
