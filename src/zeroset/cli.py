@@ -6,10 +6,10 @@ and always echo the fully resolved configuration, including defaulted seed
 and scheme, so any run can be reproduced exactly.
 
 Serialization: exact rationals appear as "num/den" strings ("2", "-1/4"),
-reals as shortest round-trip decimals.  Exit codes: 0 ok, 2 parse error
-(bad arguments, configuration or polynomial text, or a coefficient beyond
-float64 in a run that meshes, all checked before any estimate runs), 3
-trivial polynomial, 4 I/O error; these failures print a JSON error record
+reals as shortest round-trip decimals.  Exit codes: 0 ok, 4 I/O error, and,
+in order before any estimate runs, 2 for bad syntax or polynomial text, 3
+for the zero polynomial, 2 for a rule of the estimates (`check_crofton`,
+`check_measure`, `check_sharpness`); each failure prints a JSON error record
 to stderr.  Any other exception is a bug and propagates.
 """
 
@@ -29,11 +29,13 @@ from .crofton import (
     GridScheme,
     MonteCarloScheme,
     Scheme,
+    check_bound,
+    check_crofton,
     crofton_upper_estimate,
     theorem_bound,
 )
 from .experiment import ExperimentRow, check_sharpness, sharpness_experiment
-from .meshing import MeasureEstimate, check_coefficients, check_resolution, measure, write_mesh_csv
+from .meshing import MeasureEstimate, check_measure, measure, write_mesh_csv
 from .polynomial import Polynomial, TrivialPolynomialError, parse_polynomial
 
 EXIT_OK = 0
@@ -56,6 +58,10 @@ class RunConfig:
     format: str
     dump_mesh: str | None
     n_values: tuple[int, ...] | None = None
+
+    @property
+    def measured(self) -> bool:  # `report` has no measure at d >= 4
+        return self.command == "measure" or self.command == "report" and self.dimension <= 3
 
 
 def _parse_scheme(text: str, seed: int) -> Scheme:
@@ -137,12 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _meshes(command: str, dimension: int, dump_mesh: str | None) -> bool:
-    """Whether a run of `command` builds a mesh."""
-    asked = command in ("measure", "report", "sharpness") or bool(dump_mesh)
-    return asked and dimension in (2, 3)
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
     dimension = args.dim
     if dimension < 1:
@@ -155,13 +155,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     resolution = _default_resolution(dimension) if args.resolution is None else args.resolution
     if resolution < 1:
         raise ValueError("--resolution must be positive")
-    dump_mesh = getattr(args, "dump_mesh", None)
-    if dump_mesh and dimension not in (2, 3):
-        raise ValueError("mesh dumps exist only for dimensions 2 and 3")
-    if args.command == "measure" and dimension > 3:
-        raise ValueError("direct measure estimation is available only for d <= 3")
-    if _meshes(args.command, dimension, dump_mesh):
-        check_resolution(resolution)  # before any estimate runs
     n_values = None
     if args.command == "sharpness":
         text = args.n_list
@@ -169,7 +162,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             n_values = tuple(int(v) for v in text.split(","))
         else:
             n_values = _DEFAULT_N_VALUES.get(dimension, (4, 16, 64))
-        check_sharpness(dimension, n_values)
+        check_sharpness(dimension, n_values, resolution)
         box = Box.cube(0, 1, dimension)
         poly_text = None
     else:
@@ -184,7 +177,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         resolution=resolution,
         out=args.out,
         format=args.format,
-        dump_mesh=dump_mesh,
+        dump_mesh=getattr(args, "dump_mesh", None),
         n_values=n_values,
     )
 
@@ -306,10 +299,9 @@ def _execute(config: RunConfig, p: Polynomial | None) -> dict:
     if config.command in ("crofton", "report"):
         crofton = crofton_upper_estimate(p, config.box, config.scheme)
         results["crofton"] = _crofton_dict(crofton)
-    measured = config.command in ("measure", "report") and config.dimension <= 3
-    if measured or config.dump_mesh:
+    if config.measured or config.dump_mesh:
         estimate = measure(p, config.box, config.resolution, keep_mesh=bool(config.dump_mesh))
-        if measured:
+        if config.measured:
             results["measure"] = _measure_dict(estimate)
         if config.dump_mesh:
             with open(config.dump_mesh, "w") as stream:
@@ -323,15 +315,20 @@ def _emit_error(code: int, kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    # Only the arguments, the configuration and the polynomial text can be
-    # malformed input: a ValueError from the estimates is a bug, not exit 2.
+    # Inputs are checked before any estimate runs; an estimate's ValueError is a bug.
     try:
         config = _build_config(_build_parser().parse_args(argv))
         p = None
         if config.command != "sharpness":
             p = parse_polynomial(config.polynomial, config.dimension)
-            if _meshes(config.command, config.dimension, config.dump_mesh):
-                check_coefficients(p, config.box)
+            check_bound(p, config.box)  # exit 3 for the zero polynomial, on every subcommand
+            if config.command in ("crofton", "report"):
+                check_crofton(p, config.box)
+            if config.measured or config.dump_mesh:
+                check_measure(p, config.box, config.resolution, bool(config.dump_mesh))
+    except TrivialPolynomialError as exc:
+        _emit_error(EXIT_TRIVIAL, "trivial_polynomial", str(exc))
+        return EXIT_TRIVIAL
     except ValueError as exc:
         _emit_error(EXIT_PARSE, "parse_error", str(exc))
         return EXIT_PARSE
@@ -348,9 +345,6 @@ def main(argv=None) -> int:
                 stream.write(text)
         else:
             sys.stdout.write(text)
-    except TrivialPolynomialError as exc:
-        _emit_error(EXIT_TRIVIAL, "trivial_polynomial", str(exc))
-        return EXIT_TRIVIAL
     except OSError as exc:
         _emit_error(EXIT_IO, "io_error", str(exc))
         return EXIT_IO

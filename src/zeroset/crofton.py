@@ -56,10 +56,14 @@ class Box:
 
     def __init__(self, intervals: Sequence[tuple[RationalLike, RationalLike]]):
         clean = tuple((_coerce(a), _coerce(b)) for a, b in intervals)
+        widths = []  # each b_k - a_k as integers (numerator, denominator), not reduced
         for a, b in clean:
-            if a >= b:
+            (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+            if an * bd >= bn * ad:
                 raise ValueError(f"degenerate interval [{a}, {b}]")
+            widths.append((bn * ad - an * bd, ad * bd))
         object.__setattr__(self, "intervals", clean)
+        object.__setattr__(self, "widths", tuple(widths))
 
     @classmethod
     def cube(cls, lo: RationalLike, hi: RationalLike, dimension: int) -> "Box":
@@ -94,10 +98,7 @@ class Box:
 
     @property
     def volume(self) -> Fraction:
-        v = Fraction(1)
-        for a, b in self.intervals:
-            v *= b - a
-        return v
+        return Fraction(math.prod(n for n, _ in self.widths), math.prod(e for _, e in self.widths))
 
     def interval(self, k: int) -> tuple[Fraction, Fraction]:
         if not 1 <= k <= self.dimension:
@@ -112,6 +113,7 @@ class Box:
         object.__setattr__(
             out, "intervals", self.intervals[: k - 1] + self.intervals[k:]
         )
+        object.__setattr__(out, "widths", self.widths[: k - 1] + self.widths[k:])
         return out
 
     def __str__(self) -> str:
@@ -174,6 +176,15 @@ class CroftonResult:
 # ---------------------------------------------------------------------------
 
 
+def check_bound(p: Polynomial, box: Box) -> None:
+    """The rules of `theorem_bound`, which every estimate shares: p is
+    nontrivial, and p and `box` share a dimension."""
+    if p.is_trivial:
+        raise TrivialPolynomialError("the estimates require a nontrivial polynomial")
+    if p.dimension != box.dimension:
+        raise ValueError("polynomial and box dimensions differ")
+
+
 def theorem_bound(p: Polynomial, box: Box) -> Fraction:
     """sum_k deg_{x_k}(p) * prod_{j != k} (b_j - a_j), exact, on any box.
 
@@ -181,16 +192,11 @@ def theorem_bound(p: Polynomial, box: Box) -> Fraction:
     axis-k integral is at most deg_{x_k}(p) times the projected box's volume.
     On a cube of side r this is the paper's (sum_k deg_{x_k} p) * r**(d-1).
     """
-    if p.is_trivial:
-        raise TrivialPolynomialError("the bound requires a nontrivial polynomial")
-    if p.dimension != box.dimension:
-        raise ValueError("polynomial and box dimensions differ")
+    check_bound(p, box)
     # One pass over the widths n/d in integers: after each axis the bound so
     # far is num/den and the volume so far is vol/den.
     num, vol, den = 0, 1, 1
-    for k, (a, b) in enumerate(box.intervals, 1):
-        n = b.numerator * a.denominator - a.numerator * b.denominator
-        d = a.denominator * b.denominator
+    for k, (n, d) in enumerate(box.widths, 1):
         num, vol, den = num * n + p.degree_in(k) * vol * d, vol * n, den * d
     return Fraction(num, den)
 
@@ -447,12 +453,30 @@ class _AxisLines:
         return total + degenerate, degenerate  # a line inside the zero set reads -1
 
 
+def check_crofton(p: Polynomial, box: Box) -> None:
+    """Every rule of the axis-line estimates: `check_bound`, and every float
+    they report is finite.
+
+    Those floats are at most 1.36 * d * D * M, with D the largest exponent in
+    p (at least 1) and M the largest width (d >= 2) or projected volume.  The
+    rule keeps d * D * M below 2**1022, from the logs of the integer widths,
+    so it rejects only within 2 bits of the float64 limit: never a box with M
+    below 2**1000 while d * D < 2**22.
+    """
+    check_bound(p, box)
+    logs = [math.log2(n) - math.log2(e) for n, e in box.widths]
+    top = max([sum(logs) - w for w in logs] + (logs if len(logs) > 1 else []))  # log2 M
+    if top + math.log2(len(logs) * (max(map(max, p.terms)) or 1)) >= 1022:
+        raise ValueError("the estimate's widths or volumes on the box pass the float64 range")
+
+
 def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> AxisEstimate:
     """Estimate of the axis-k integral of per-line root counts over the base box."""
-    if p.is_trivial:
-        raise TrivialPolynomialError("the estimator requires a nontrivial polynomial")
-    if p.dimension != box.dimension:
-        raise ValueError("polynomial and box dimensions differ")
+    check_crofton(p, box)
+    return _axis_integral(p, box, k, scheme)
+
+
+def _axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> AxisEstimate:
     lines = _AxisLines(p, box, k, scheme)
     total, degenerate = lines.count()
     projected = box.project(k)
@@ -478,9 +502,8 @@ def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> Ax
 
 def crofton_upper_estimate(p: Polynomial, box: Box, scheme: Scheme) -> CroftonResult:
     """Sum over axes of the per-line count integrals."""
-    per_axis = tuple(
-        crofton_axis_integral(p, box, k, scheme) for k in range(1, box.dimension + 1)
-    )
+    check_crofton(p, box)
+    per_axis = tuple(_axis_integral(p, box, k, scheme) for k in range(1, box.dimension + 1))
     total_exact = sum((e.exact for e in per_axis), Fraction(0))
     return CroftonResult(
         per_axis=per_axis,

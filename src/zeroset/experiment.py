@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .crofton import Box, Scheme, crofton_upper_estimate, theorem_bound
-from .meshing import check_resolution, measure
+from .meshing import check_measure, measure
 from .polynomial import Polynomial
 
 
@@ -40,8 +40,8 @@ def sharpness_polynomial(dimension: int, n: int) -> Polynomial:
     )
 
 
-def check_sharpness(dimension: int, n_values: Sequence[int]) -> None:
-    """The experiment needs dimension >= 2 and strictly increasing positive n."""
+def check_sharpness(dimension: int, n_values: Sequence[int], resolution: int) -> None:
+    """d >= 2, strictly increasing positive n and, for d <= 3, meshes `check_measure` takes."""
     if dimension < 2:
         raise ValueError("the sharpness experiment requires dimension >= 2")
     if not n_values:
@@ -50,6 +50,8 @@ def check_sharpness(dimension: int, n_values: Sequence[int]) -> None:
         raise ValueError("all n must be positive")
     if list(n_values) != sorted(set(n_values)):
         raise ValueError("n_values must be strictly increasing")
+    for n in n_values if dimension <= 3 else ():
+        check_measure(sharpness_polynomial(dimension, n), Box.cube(0, 1, dimension), resolution)
 
 
 def sharpness_experiment(
@@ -59,9 +61,7 @@ def sharpness_experiment(
     scheme: Scheme,
 ) -> list[ExperimentRow]:
     """One row per n, in increasing order, on the unit cube."""
-    check_sharpness(dimension, n_values)
-    if dimension <= 3:
-        check_resolution(resolution)
+    check_sharpness(dimension, n_values, resolution)
 
     cube = Box.cube(0, 1, dimension)
     rows = []

@@ -1,7 +1,9 @@
 """Direct measure estimates for a polynomial zero set, through one entry,
 `measure`, for d = 1..3, plus mesh dumps: an exact root count in d=1, and
 one table-driven marching kernel for d=2 and d=3, which sums segment lengths
-(marching squares) or triangle areas (marching cubes).
+(marching squares) or triangle areas (marching cubes).  `check_measure`
+holds every rule `measure` enforces, so a caller can check its input before
+any work; `crofton.check_crofton` does the same for the axis-line estimates.
 
 Vertex values are computed in double precision from the exact polynomial.
 An exact zero at a grid vertex counts as positive, so the sign predicate is
@@ -62,8 +64,8 @@ import numpy as np
 
 from ._exact_sum import ExactSum
 from ._mc_tables import SEGMENTS, TRIANGLES
-from .crofton import Box, GridScheme, _AxisLines, error_factor
-from .polynomial import Polynomial, TrivialPolynomialError
+from .crofton import Box, GridScheme, _AxisLines, check_bound, error_factor
+from .polynomial import Polynomial
 
 # The method each dimension's estimate reports.
 _METHODS = {1: "exact_count", 2: "marching_squares", 3: "marching_cubes"}
@@ -79,16 +81,25 @@ class MeasureEstimate:
     mesh: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def check_resolution(resolution: int) -> None:
-    """Meshes need at least 2 cells per axis."""
+def check_measure(p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False) -> None:
+    """Every rule of `measure`, in order: `crofton.check_bound` (p is nontrivial
+    and of `box`'s dimension), a kept mesh needs d = 2 or 3, d is 1..3, and a
+    mesh (d = 2, 3) needs 2 cells per axis and float64 values.  Its coefficients
+    and ends must be finite, and reach + log2(terms) + 1 < 1023 (`_reach`) keeps
+    every vertex value, and every difference of two, finite.  Bounds by the
+    widest cell side h must stay below 2**1023: sides h, squared lengths 2h**2,
+    squared cross-product norms 12h**4 and the total 5 n**d 2h**(d-1).
+    """
+    check_bound(p, box)
+    d = box.dimension
+    if keep_mesh and d not in (2, 3):
+        raise ValueError("mesh dumps exist only for dimensions 2 and 3")
+    if d not in _METHODS:
+        raise ValueError("direct measure estimation is available only for d <= 3")
+    if d == 1:
+        return
     if resolution < 2:
         raise ValueError("resolution must be at least 2 cells per axis")
-
-
-def check_coefficients(p: Polynomial, box: Box) -> None:
-    """Meshes evaluate p in float64 on `box`, so its coefficients and ends must be
-    finite float64s, and reach + log2(terms) + 1 < 1023 (`_reach`) keeps every
-    vertex value, and every difference of two, finite."""
     try:
         ends = [[x.numerator / x.denominator for x in interval] for interval in box.intervals]
         reach = _reach([(e, float(c)) for e, c in p.terms.items()], ends)
@@ -96,6 +107,11 @@ def check_coefficients(p: Polynomial, box: Box) -> None:
         raise ValueError("a coefficient or box end is beyond the float64 range") from None
     if reach + math.log2(len(p.terms)) + 1 >= 1023:
         raise ValueError("the polynomial's values on the box pass the float64 range meshes need")
+    n = math.log2(resolution)
+    h = max(math.log2(w) - math.log2(e) for w, e in box.widths) - n  # log2 of the widest side
+    square = 2 * h + 1 if d == 2 else 4 * h + math.log2(12)  # a squared length or norm
+    if max(square, d * n + (d - 1) * h + math.log2(10)) >= 1023:
+        raise ValueError("the mesh's lengths or areas on the box pass the float64 range")
 
 
 def _reach(terms: list[tuple], ends: Iterable[tuple]) -> float:
@@ -727,26 +743,16 @@ def measure(p: Polynomial, box: Box, resolution: int, keep_mesh: bool = False) -
     triangles of the same pass come back as `mesh`, one row of d vertices
     (x1, y1, x2, y2 or x1, y1, z1, ..., z3) per primitive in global coordinates.
     """
-    d = box.dimension
-    if p.is_trivial:
-        raise TrivialPolynomialError("measure estimation requires a nontrivial polynomial")
-    if p.dimension != d:
-        raise ValueError("polynomial and box dimensions differ")
-    if d not in _METHODS:
-        raise ValueError("direct measure estimation is available only for d <= 3")
-    if d == 1:
+    check_measure(p, box, resolution, keep_mesh)
+    if box.dimension == 1:
         count, _ = _AxisLines(p, box, 1, GridScheme(1)).count()
-        return MeasureEstimate(float(count), _METHODS[d], 1, 0)
-    check_resolution(resolution)
-    check_coefficients(p, box)
+        return MeasureEstimate(float(count), _METHODS[1], 1, 0)
     total, crossed, mesh = _march(p, box, resolution, keep_mesh)
-    return MeasureEstimate(total, _METHODS[d], resolution, crossed, mesh)
+    return MeasureEstimate(total, _METHODS[box.dimension], resolution, crossed, mesh)
 
 
 def write_mesh_csv(stream: TextIO, primitives: np.ndarray, dimension: int) -> None:
     """Dump extracted primitives (one per row) for external plotting."""
-    if dimension not in (2, 3):
-        raise ValueError("mesh dumps exist only for dimensions 2 and 3")
     # Each row holds d vertices of d coordinates: x1,y1,x2,y2 or x1,y1,z1,...,z3.
     axes = "xyz"[:dimension]
     stream.write(",".join(f"{a}{i}" for i in range(1, dimension + 1) for a in axes) + "\n")

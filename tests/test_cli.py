@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -5,9 +6,11 @@ import multiprocessing.process
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zeroset
 from zeroset import cli, measure, meshing, parse_polynomial
@@ -261,6 +264,94 @@ class TestExitCodes:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert json.loads(out)["results"]
+
+    @pytest.mark.parametrize("dump", [False, True], ids=["", "dump-mesh"])
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    @pytest.mark.parametrize("command", ["bound", "crofton", "measure", "report"])
+    @pytest.mark.parametrize("poly", ["0", "x1 - x1"])
+    def test_zero_polynomial_is_3_before_any_work(
+        self, capsys, monkeypatch, tmp_path, poly, command, dimension, dump
+    ):
+        # The zero polynomial is decided first, before any estimate's own rules
+        # (a dump or a measure outside d = 2, 3) and before any estimate runs.
+        def no_work(*args, **kwargs):
+            raise AssertionError("an estimate ran before the input was checked")
+
+        for name in ("theorem_bound", "crofton_upper_estimate", "measure"):
+            monkeypatch.setattr(cli, name, no_work)
+        path = tmp_path / "mesh.csv"
+        argv = [command, "--poly", poly, "--dim", str(dimension), "--scheme", "grid:4",
+                "--resolution", "8"] + (["--dump-mesh", str(path)] if dump else [])
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        (record,) = err.splitlines()
+        assert json.loads(record)["error"]["kind"] == "trivial_polynomial"
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crofton", "--poly", "x1*x2-1", "--dim", "2", "--box", "0,1e400", "--scheme", "grid:4"],
+            ["crofton", "--poly", "1", "--dim", "3", "--box", "0,1e200", "--scheme", "mc:10"],
+            ["report", "--poly", "x1", "--dim", "4", "--box", "0,1e150", "--scheme", "mc:10"],
+            # The meshes' lengths and areas, not their vertex values, pass float64.
+            ["measure", "--poly", f"x1 - {10**299}", "--dim", "2", "--box", f"0,{10**300}"],
+            ["measure", "--poly", f"x1 - {10**299}", "--dim", "3", "--box", f"0,{10**300}"],
+            ["measure", "--poly", f"x1 - {10**150}", "--dim", "3", "--box", f"0,{10**160}"],
+        ],
+        ids=["crofton-width", "crofton-volume", "report-volume", "mesh-length", "mesh-area",
+             "mesh-total"],
+    )
+    def test_floats_beyond_float64_are_2_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an estimate ran before the input was checked")
+
+        for name in ("theorem_bound", "crofton_upper_estimate", "measure"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run_cli(argv + ["--resolution", "4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "float64" in json.loads(err)["error"]["message"]
+
+    def test_mesh_area_near_float64_is_valid(self, capsys):
+        code, out, _ = run_cli(
+            ["measure", "--poly", f"x1 - {10**70}", "--dim", "3", "--box", f"0,{10**75}",
+             "--resolution", "4"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["measure"]["value"] == pytest.approx(1e150)
+
+    @settings(max_examples=150)
+    @given(
+        dimension=st.integers(1, 4),
+        command=st.sampled_from(["crofton", "report"]),
+        poly=st.sampled_from(["1", "x1", "x1*x2 - 1", "x1^3 - x2*x1 + 1/7"]),
+        ends=st.lists(
+            st.tuples(st.sampled_from([-1, 1]), st.integers(-400, 400), st.integers(-400, 400)),
+            min_size=1, max_size=4,
+        ),
+        scheme=st.sampled_from(["grid:1", "grid:2", "mc:1", "mc:4"]),
+    )
+    def test_any_box_is_0_with_finite_json_or_2(self, dimension, command, poly, ends, scheme):
+        # Box ends up to 10**+-400: the range rules turn every report that
+        # would hold an overflowed float into exit 2; nothing raises.
+        poly = poly.replace("x2", f"x{min(2, dimension)}")
+        intervals = [(s * Fraction(10) ** a, s * Fraction(10) ** a + Fraction(10) ** w)
+                     for s, a, w in (ends * dimension)[:dimension]]
+        box = ";".join(f"{a},{b}" for a, b in intervals)
+        argv = [command, "--poly", poly, "--dim", str(dimension), f"--box={box}",
+                "--scheme", scheme, "--resolution", "2"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert "float64" in json.loads(err.getvalue())["error"]["message"]
+        else:
+            assert code == 0
+            json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"{c} in the report"))
 
 
 class TestParser:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -237,6 +238,42 @@ class TestUpperEstimate:
             for e in result.per_axis:
                 assert e.estimate <= p.degree_in(e.axis) * 1 + e.error_halfwidth
 
+
+class TestFloatRange:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+    def test_volumes_below_2_to_1000_are_taken(self, d):
+        # Sides of 2**(999 // (d - 1)): every width and projected volume is
+        # below 2**1000, and every reported float is finite.
+        p = parse_polynomial("*".join(f"x{k}^3" for k in range(1, d + 1)) + " - 1", d)
+        box = Box.cube(0, 2 ** (999 // max(d - 1, 1)), d)
+        crofton.check_crofton(p, box)
+        for scheme in (GridScheme(2), MonteCarloScheme(3)):
+            result = crofton_upper_estimate(p, box, scheme)
+            assert math.isfinite(result.total)
+            assert math.isfinite(result.total_error_halfwidth)
+
+    def test_d1_reports_no_width(self):
+        # In d = 1 the base is a point: its volume is 1, whatever the interval.
+        box = Box(((0, 10**400),))
+        crofton.check_crofton(parse_polynomial("x1 - 7", 1), box)
+        assert crofton_upper_estimate(parse_polynomial("x1 - 7", 1), box, GridScheme(1)).total == 1
+
+    @pytest.mark.parametrize(
+        "poly, d, box",
+        [
+            ("x1*x2 - 1", 2, "0,1e400"),  # a width
+            ("x1 + x2 + x3", 3, "0,1e200;0,1e200;0,1e-300"),  # a projected volume
+            ("x1 + x2^1048576", 2, f"0,{2**1010};0,1"),  # deg_2 * vol_2
+            ("x1*x2 - 1", 2, f"0,{2**1023};0,1"),  # a Monte Carlo half-width 1.36 * 2**1023
+        ],
+        ids=["width", "volume", "degree", "half-width"],
+    )
+    def test_floats_beyond_float64_rejected(self, poly, d, box):
+        p, box = parse_polynomial(poly, d), Box.parse(box, d)
+        with pytest.raises(ValueError, match="float64"):
+            crofton.check_crofton(p, box)
+        with pytest.raises(ValueError, match="float64"):
+            crofton_axis_integral(p, box, 1, MonteCarloScheme(2))
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):

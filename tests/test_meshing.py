@@ -104,7 +104,30 @@ def test_measure_rejects_values_beyond_float64():
         measure(parse_polynomial("x1*x2 - 1/4", 2), Box(((0, 10**400), (0, 1))), 8)
     # The memory test's polynomial, scaled by 10**302, stays within range.
     scaled = Polynomial(3, {e: c * 10**302 for e, c in sharpness_polynomial(3, 512).terms.items()})
-    meshing.check_coefficients(scaled, UNIT_CUBE)
+    meshing.check_measure(scaled, UNIT_CUBE, 128)
+
+
+@pytest.mark.parametrize(
+    "d, root, end",
+    [(2, 10**299, 10**300), (3, 10**299, 10**300), (3, 10**150, 10**160)],
+    ids=["lengths", "areas", "total"],
+)
+def test_measure_rejects_lengths_beyond_float64(d, root, end):
+    # Every vertex value is finite, but the segment lengths, the triangles'
+    # cross products or their total are not.
+    p = Polynomial(d, {(1,) + (0,) * (d - 1): 1, (0,) * d: -root})
+    with pytest.raises(ValueError, match="float64"):
+        measure(p, Box.cube(0, end, d), 4)
+
+
+def test_mesh_total_beyond_float64_rejected():
+    # Cells of side 2**200: each triangle's area fits, and so do 2**300 cells
+    # of them, but 2**900 cells would not.  Only the check runs, as no such
+    # mesh can be built.
+    p = parse_polynomial("x1 - 1", 3)
+    meshing.check_measure(p, Box.cube(0, 2**300, 3), 2**100)
+    with pytest.raises(ValueError, match="float64"):
+        meshing.check_measure(p, Box.cube(0, 2**500, 3), 2**300)
 
 
 class TestMarchingSquares:
