@@ -18,16 +18,17 @@ counted in the calling process, by one counter at every dimension: in d = 1
 the base is a point, and its one line is counted like any other.
 
 Every base point of one axis shares a denominator D, so it is a tuple of
-integer numerators N with x = N/D.  The coefficients of p in x_k, scaled to
-integers once per axis and homogenized over D, evaluate at N to a positive
-integer multiple of the restricted polynomial.  Lines are counted in NumPy
-slabs: the Möbius map x = (lo + hi*t) / (1 + t) turns those tables into
-tables of the coefficients q_j(N) of a polynomial in t whose positive roots
-are the line's roots inside (lo, hi).  Each q_j is evaluated in float64 next
-to a forward error bound, and a line whose q_j all have certified signs with
-at most one sign variation is counted by Descartes' rule of signs.  Every
-other line is evaluated exactly in Z and counted by `count_int_roots`, one
-Sturm sequence per line.
+integer numerators N with x = N/D.  Once per axis p is read into one integer
+table, by power of x_k and monomial in N, that evaluates at N to a positive
+integer multiple of the restricted polynomial; one evaluator computes the
+monomials, in float64 or in Python ints.  Lines are counted in NumPy slabs:
+the Möbius map x = (lo + hi*t) / (1 + t) turns the table into one of the
+coefficients q_j(N) of a polynomial in t whose positive roots are the line's
+roots inside (lo, hi).  Each q_j is evaluated in float64 next to a forward
+error bound, and a line whose q_j all have certified signs with at most one
+sign variation is counted by Descartes' rule of signs.  Every other line is
+evaluated exactly in Z and counted by `count_int_roots`, one Sturm sequence
+per line.
 """
 
 from __future__ import annotations
@@ -211,27 +212,45 @@ def _scaled(x: Fraction, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
-def _coefficient_tables(p: Polynomial, k: int, scale: int) -> list[list[tuple]]:
-    """Per power j of x_k, the terms of L * scale**m * q_j(N / scale) in the numerators N.
+def _coefficient_tables(p: Polynomial, k: int, scale: int) -> tuple[list[tuple], list[list[int]]]:
+    """p on the axis-k lines through N / scale, as (monomials, table), in one pass over its terms.
 
-    q_j are the coefficients of p in x_k (`coefficients_in`), L clears every
-    coefficient denominator and m is the largest total degree of a term in
-    the other variables.  Each term is (integer factor, ((base axis,
-    exponent), ...)), so evaluating the tables at N gives a positive multiple
-    of p restricted to the axis-k line through N / scale.
+    `monomials` lists the distinct base monomials, each as ((base axis,
+    exponent), ...), by first use in ascending powers of x_k; table[j][r] is
+    the integer factor of x_k**j * N**monomials[r] in L * scale**m *
+    p(N / scale, x_k), with L the lcm of the coefficient denominators and m
+    the largest total degree of a term in the other variables.  Evaluated
+    at N, the table gives a positive multiple of p on the axis-k line.
     """
     lcm = math.lcm(*(c.denominator for c in p.terms.values()))
     m = max(sum(e) - e[k - 1] for e in p.terms)
-    return [
-        [
-            (
-                _scaled(c, lcm) * scale ** (m - sum(e)),
-                tuple((i, x) for i, x in enumerate(e) if x),
-            )
-            for e, c in q.terms.items()
-        ]
-        for q in p.coefficients_in(k)
-    ]
+    powers = p.degree_in(k) + 1
+    columns: dict[tuple, list[int]] = {}
+    for e, c in sorted(p.terms.items(), key=lambda term: term[0][k - 1]):
+        base = e[: k - 1] + e[k:]
+        column = columns.setdefault(tuple((i, x) for i, x in enumerate(base) if x), [0] * powers)
+        column[e[k - 1]] = _scaled(c, lcm) * scale ** (m - sum(base))
+    return list(columns), [list(row) for row in zip(*columns.values())]
+
+
+def _monomial_values(monomials: list[tuple], base: np.ndarray) -> np.ndarray:
+    """N**monomials[r] (rows) at the numerators N (columns of `base`), in `base`'s dtype.
+
+    Each axis's powers are built once, by repeated multiplication up to the
+    highest exponent a monomial asks for.  With object dtype the values are
+    Python ints, exact; with float64 every product is one rounding.
+    """
+    ladders = [[None, row] for row in base]
+    values = np.empty((len(monomials), base.shape[1]), dtype=base.dtype)
+    for r, mono in enumerate(monomials):
+        value = 1
+        for axis, e in mono:
+            ladder = ladders[axis]
+            while len(ladder) <= e:
+                ladder.append(ladder[-1] * ladder[1])
+            value = value * ladder[e]  # exact for the leading 1, in ints and floats
+        values[r] = value
+    return values
 
 
 def _mobius_column(kappa: int, i: int, lo: Ratio, hi: Ratio) -> list[int]:
@@ -278,38 +297,30 @@ _EXACT_BELOW = float(1 << 53)
 class _Filter:
     """Float64 Möbius-Descartes counts of axis lines, certified or deferred.
 
-    The integer tables of q_j(N), the coefficients of the line polynomial
-    moved onto t in [0, inf] (`_mobius_column`), are grouped by monomial in
-    the base numerators N: q_j(N) = sum of table[j, r] * N**monomial[r].
+    The rows of the integer monomial table (`_coefficient_tables`) are moved
+    onto t in [0, inf] by the Möbius columns (`_mobius_column`), so the
+    coefficients of the line polynomial in t are q_j(N) = sum of
+    table[j, r] * N**monomials[r], evaluated by `_monomial_values`.
     """
 
-    def __init__(self, tables: list[list[tuple]], lo: Ratio, hi: Ratio):
-        kappa = len(tables) - 1
-        rows: dict[tuple, list[int]] = {}
-        for i, terms in enumerate(tables):
-            if not terms:
+    def __init__(self, monomials: list[tuple], table: list[list[int]], lo: Ratio, hi: Ratio):
+        kappa = len(table) - 1
+        rows = [[0] * len(monomials) for _ in range(kappa + 1)]
+        for i, factors in enumerate(table):
+            if not any(factors):
                 continue
-            column = _mobius_column(kappa, i, lo, hi)
-            for factor, powers in terms:
-                row = rows.setdefault(powers, [0] * (kappa + 1))
-                for j, entry in enumerate(column):
-                    row[j] += entry * factor
-        self.monomials = list(rows)
-        # float() raises OverflowError on a factor beyond float64; the caller
-        # then counts every line exactly.
-        self.table = np.array([[float(rows[mono][j]) for mono in self.monomials]
-                               for j in range(kappa + 1)])
+            for j, entry in enumerate(_mobius_column(kappa, i, lo, hi)):
+                rows[j] = [x + entry * f for x, f in zip(rows[j], factors)]
+        self.monomials = monomials
+        # A factor beyond float64 raises OverflowError; the caller then
+        # counts every line exactly.
+        self.table = np.array(rows, dtype=np.float64)
         self.absolute = np.abs(self.table)
-        # The highest power of each base axis that a monomial takes.
-        self.top: dict[int, int] = {}
-        for mono in self.monomials:
-            for axis, e in mono:
-                self.top[axis] = max(self.top.get(axis, 0), e)
         # Each computed term carries 2e + 1 roundings (the factor, e base
         # numerators, e multiplications) for a monomial of degree e, and a sum
         # of n terms adds n - 1.
-        degree = max(sum(e for _, e in mono) for mono in self.monomials)
-        self.gamma = error_factor(2 * degree + len(self.monomials))
+        degree = max(sum(e for _, e in mono) for mono in monomials)
+        self.gamma = error_factor(2 * degree + len(monomials))
 
     def counts(self, numerators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per line (columns of the int64 `numerators`), its count and whether it is deferred.
@@ -319,23 +330,8 @@ class _Filter:
         count is then [q_0 = 0] + [q_kappa = 0] + V (roots at lo, at hi, and
         Descartes' rule on the open interval).
         """
-        base = numerators.astype(np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = {}
-            for axis, top in self.top.items():
-                powers[axis] = [None, base[axis]]
-                for _ in range(top - 1):
-                    powers[axis].append(powers[axis][-1] * base[axis])
-            values = np.empty((len(self.monomials), base.shape[1]))
-            for r, mono in enumerate(self.monomials):
-                if not mono:
-                    values[r] = 1.0
-                    continue
-                (axis, e), *others = mono
-                value = powers[axis][e]
-                for axis, e in others:
-                    value = value * powers[axis][e]
-                values[r] = value
+            values = _monomial_values(self.monomials, numerators.astype(np.float64))
             q = self.table @ values
             sums = self.absolute @ np.abs(values)
             # Below 2**53 every term and partial sum is an exact integer; an
@@ -345,7 +341,7 @@ class _Filter:
             unsure = ~(np.abs(q) > error) & (error != 0)
         signs = (q > 0).astype(np.int8) - (q < 0)
         last = signs[0]
-        variations = np.zeros(base.shape[1], dtype=np.int64)
+        variations = np.zeros(numerators.shape[1], dtype=np.int64)
         for s in signs[1:]:
             variations += s * last < 0
             last = np.where(s != 0, s, last)
@@ -379,7 +375,7 @@ class _AxisLines:
             reach = (1 << UNIT_BITS) - 1
             self.lines = scheme.samples if projected.dimension else 1
         self.spans = [(_scaled(a, scale), _scaled(b - a, den)) for a, b in projected.intervals]
-        self.tables = _coefficient_tables(p, k, scale)
+        self.monomials, self.table = _coefficient_tables(p, k, scale)
         # The batch computes N = low + width * multiplier in int64.
         self.fits = all(
             max(abs(low), abs(low + width * reach), width * reach) < 1 << 63
@@ -402,24 +398,16 @@ class _AxisLines:
                 out[b] = bits >> np.uint64(64 - UNIT_BITS)
         return out
 
-    def numerators(self, multipliers: np.ndarray) -> np.ndarray:
-        """int64 base numerators of the lines, for spans that `fits`."""
-        lows, widths = np.array(self.spans, dtype=np.int64).reshape(-1, 2).T
+    def numerators(self, multipliers: np.ndarray, dtype=np.int64) -> np.ndarray:
+        """Base numerators of the lines in `dtype`: int64 for spans that `fits`, else object."""
+        lows, widths = np.array(self.spans, dtype=dtype).reshape(-1, 2).T
         return lows[:, None] + multipliers * widths[:, None]
 
     def exact_counts(self, multipliers: np.ndarray) -> np.ndarray:
         """Counts of the lines in integer arithmetic, -1 for a line inside the zero set."""
+        values = _monomial_values(self.monomials, self.numerators(multipliers, dtype=object))
         out = []
-        for column in multipliers.T.tolist():
-            point = [low + width * x for (low, width), x in zip(self.spans, column)]
-            coefficients = []
-            for terms in self.tables:
-                value = 0
-                for factor, powers in terms:
-                    for i, e in powers:
-                        factor *= point[i] ** e
-                    value += factor
-                coefficients.append(value)
+        for coefficients in (np.array(self.table, dtype=object) @ values).T.tolist():
             count = count_int_roots(coefficients, self.lo, self.hi)
             out.append(-1 if count is None else count)
         return np.array(out, dtype=np.int64)
@@ -430,7 +418,7 @@ class _AxisLines:
         if not self.fits:
             return None
         try:
-            return _Filter(self.tables, self.lo, self.hi)
+            return _Filter(self.monomials, self.table, self.lo, self.hi)
         except OverflowError:
             return None
 
@@ -468,12 +456,6 @@ def check_crofton(p: Polynomial, box: Box) -> None:
     top = max([sum(logs) - w for w in logs] + (logs if len(logs) > 1 else []))  # log2 M
     if top + math.log2(len(logs) * (max(map(max, p.terms)) or 1)) >= 1022:
         raise ValueError("the estimate's widths or volumes on the box pass the float64 range")
-
-
-def crofton_axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> AxisEstimate:
-    """Estimate of the axis-k integral of per-line root counts over the base box."""
-    check_crofton(p, box)
-    return _axis_integral(p, box, k, scheme)
 
 
 def _axis_integral(p: Polynomial, box: Box, k: int, scheme: Scheme) -> AxisEstimate:

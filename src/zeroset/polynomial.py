@@ -1,5 +1,4 @@
-"""Exact sparse multivariate polynomials over the rationals: parsing and
-coefficient decomposition.
+"""Exact sparse multivariate polynomials over the rationals, and their parser.
 
 A polynomial in d variables is a map from exponent vectors (length-d tuples
 of nonnegative ints) to nonzero Fraction coefficients:
@@ -9,9 +8,9 @@ of nonnegative ints) to nonzero Fraction coefficients:
 The zero polynomial is the empty map.  Decimal literals in the text form are
 converted to rationals without rounding (0.25 -> 1/4).  Variables are
 1-based (x1 .. xd) throughout the public API, matching the text syntax.
-The module neither evaluates nor does arithmetic: the line counter scales
-`coefficients_in` to integer tables, and the mesher evaluates the terms in
-float64.
+The module neither evaluates nor does arithmetic: the line counter reads
+the terms into one integer monomial table per axis, and the mesher
+evaluates them in float64.
 
 Polynomials are immutable after construction.
 """
@@ -86,23 +85,6 @@ class Polynomial:
     def _check_axis(self, k: int) -> None:
         if not 1 <= k <= self.dimension:
             raise ValueError(f"axis {k} out of range 1..{self.dimension}")
-
-    def coefficients_in(self, k: int) -> tuple["Polynomial", ...]:
-        """Coefficients (q_0, .., q_kappa) of p viewed as a polynomial in x_k.
-
-        Each q_j is a polynomial in the remaining d-1 variables and
-        sum_j q_j * x_k^j recombines to p exactly.  The leading q_kappa is
-        nontrivial.  For the zero polynomial the tuple is empty.
-        """
-        self._check_axis(k)
-        if self.is_trivial:
-            return ()
-        kappa = self.degree_in(k)
-        buckets: list[dict[Exponent, Fraction]] = [{} for _ in range(kappa + 1)]
-        for exponents, coefficient in self.terms.items():
-            reduced = exponents[: k - 1] + exponents[k:]
-            buckets[exponents[k - 1]][reduced] = coefficient
-        return tuple(Polynomial(self.dimension - 1, b) for b in buckets)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

@@ -16,7 +16,7 @@ from zeroset import (
     theorem_bound,
 )
 from zeroset import cli, crofton
-from zeroset.crofton import MonteCarloScheme, _AxisLines, crofton_axis_integral
+from zeroset.crofton import MonteCarloScheme, _AxisLines
 from zeroset.polynomial import Polynomial
 from zeroset.rng import mix64_array
 
@@ -119,13 +119,13 @@ class TestLineCount:
 class TestAxisIntegral:
     def test_line_along_axis(self):
         p = parse_polynomial("x1 - 1/2", 2)
-        estimate = crofton_axis_integral(p, UNIT_SQUARE, 1, GridScheme(256))
+        estimate = crofton_upper_estimate(p, UNIT_SQUARE, GridScheme(256)).per_axis[0]
         assert estimate.exact == 1
         assert estimate.estimate == 1.0
 
     def test_line_across_axis(self):
         p = parse_polynomial("x1 - 1/2", 2)
-        estimate = crofton_axis_integral(p, UNIT_SQUARE, 2, GridScheme(256))
+        estimate = crofton_upper_estimate(p, UNIT_SQUARE, GridScheme(256)).per_axis[1]
         assert estimate.exact == 0
         assert estimate.degenerate_lines_hit == 0
 
@@ -133,14 +133,14 @@ class TestAxisIntegral:
         # with an odd midpoint count the base 1/2 is hit exactly
         p = parse_polynomial("x1 - 1/2", 2)
         for n in (1, 3):
-            estimate = crofton_axis_integral(p, UNIT_SQUARE, 2, GridScheme(n))
+            estimate = crofton_upper_estimate(p, UNIT_SQUARE, GridScheme(n)).per_axis[1]
             assert estimate.degenerate_lines_hit == 1
             assert estimate.exact == 0
 
     def test_circle_closed_form(self):
         # integrand is 2 on |y| < 1/2, 0 outside: the integral is exactly 2
         p = parse_polynomial("x1^2 + x2^2 - 1/4", 2)
-        estimate = crofton_axis_integral(p, BIG_SQUARE, 1, GridScheme(1024))
+        estimate = crofton_upper_estimate(p, BIG_SQUARE, GridScheme(1024)).per_axis[0]
         assert estimate.exact == 2
 
     def test_grid_ceiling(self):
@@ -148,7 +148,7 @@ class TestAxisIntegral:
         for _ in range(20):
             p = random_polynomial(rng, 2, 3)
             k = rng.randint(1, 2)
-            estimate = crofton_axis_integral(p, UNIT_SQUARE, k, GridScheme(16))
+            estimate = crofton_upper_estimate(p, UNIT_SQUARE, GridScheme(16)).per_axis[k - 1]
             assert estimate.exact <= p.degree_in(k) * 1  # projected volume is 1
 
 
@@ -273,7 +273,7 @@ class TestFloatRange:
         with pytest.raises(ValueError, match="float64"):
             crofton.check_crofton(p, box)
         with pytest.raises(ValueError, match="float64"):
-            crofton_axis_integral(p, box, 1, MonteCarloScheme(2))
+            crofton_upper_estimate(p, box, MonteCarloScheme(2))
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
@@ -587,6 +587,34 @@ class TestFilterDeferral:
             assert line_counts(p, UNIT_SQUARE, k, scheme) == expected
 
 
+def test_monomial_values_exact_in_ints_and_below_2_53_in_floats():
+    """The one evaluator gives Python ints in object dtype, and float64 values
+    that equal them wherever the exact value is below 2**53 (`_EXACT_BELOW`)."""
+    rng = random.Random(37)
+    for _ in range(60):
+        axes, lines = rng.randint(1, 3), 12
+        monomials = list(dict.fromkeys(
+            tuple((i, rng.randint(1, 5)) for i in sorted(rng.sample(range(axes), rng.randint(0, axes))))
+            for _ in range(6)
+        ))
+        numerators = [
+            [rng.choice((-1, 1)) * rng.randrange(1 << rng.choice((4, 12, 30, 70))) for _ in range(lines)]
+            for _ in range(axes)
+        ]
+        exact = [[math.prod(numerators[i][c] ** e for i, e in mono) for c in range(lines)]
+                 for mono in monomials]
+        ints = crofton._monomial_values(monomials, np.array(numerators, dtype=object))
+        assert all(type(v) is int for v in ints.flat)
+        assert ints.tolist() == exact
+        with np.errstate(over="ignore", invalid="ignore"):
+            floats = crofton._monomial_values(monomials, np.array(numerators, dtype=np.float64))
+        assert floats.dtype == np.float64
+        for row, exact_row in zip(floats.tolist(), exact):
+            for value, want in zip(row, exact_row):
+                if abs(want) < crofton._EXACT_BELOW:
+                    assert value == want
+
+
 _coefficients = st.one_of(
     st.fractions(min_value=-8, max_value=8, max_denominator=12),
     st.integers(-(10**30), 10**30),
@@ -653,7 +681,7 @@ def test_d1_batch_counter_matches_oracle(seed, interval, case, scheme):
         assert expected == sum(1 for r in roots if lo <= r <= hi)
     p = Polynomial(1, {(i,): c for i, c in enumerate(u.coefficients)})
     box = Box([(lo, hi)])
-    estimate = crofton_axis_integral(p, box, 1, scheme)
+    estimate = crofton_upper_estimate(p, box, scheme).per_axis[0]
     assert estimate.exact == expected
     assert (estimate.error_halfwidth, estimate.degenerate_lines_hit) == (0.0, 0)
     assert measure(p, box, 1).value == expected

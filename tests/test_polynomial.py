@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from zeroset import ParseError, TrivialPolynomialError, parse_polynomial
-from zeroset.polynomial import Polynomial
+from zeroset.crofton import _coefficient_tables
 
 from oracles import (
     Poly,
@@ -149,45 +150,64 @@ class TestRestriction:
             assert restrict_to_line(p, k, base).evaluate(t) == evaluate(p, point)
 
 
+def _row_values(table, monomials, numerators):
+    """Each row of a `_coefficient_tables` table evaluated at the base numerators."""
+    powers = [math.prod(numerators[i] ** e for i, e in mono) for mono in monomials]
+    return [sum(f * v for f, v in zip(row, powers)) for row in table]
+
+
 class TestCoefficientsIn:
+    """The integer monomial table of p in x_k that the axis-line counter reads."""
+
     def test_hyperbola(self):
+        # 4 * 4**1 * (N/4 * x - 1/4) = 4*N*x - 4
         p = parse_polynomial("x1*x2 - 1/4", 2)
-        q0, q1 = p.coefficients_in(2)
-        assert q0 == Polynomial(1, {(0,): Fraction(-1, 4)})
-        assert q1 == Polynomial(1, {(1,): 1})
+        monomials, table = _coefficient_tables(p, 2, 4)
+        assert monomials == [(), ((0, 1),)]
+        assert table == [[-4, 0], [0, 4]]
 
     def test_degree_zero_in_axis(self):
         p = parse_polynomial("x1^2 + 1", 2)
-        (q0,) = p.coefficients_in(2)
-        assert q0 == Polynomial(1, {(2,): 1, (0,): 1})
+        monomials, table = _coefficient_tables(p, 2, 3)
+        assert monomials == [((0, 2),), ()]
+        assert table == [[1, 9]]
 
     def test_recombination(self):
+        # sum_j sum_r table[j][r] * N**mono_r * x**j = L * scale**m * p(N/scale, x)
         rng = random.Random(505)
         for _ in range(40):
             d = rng.randint(1, 4)
             p = random_polynomial(rng, d, 4)
             k = rng.randint(1, d)
-            coefficients = p.coefficients_in(k)
-            assert not coefficients[-1].is_trivial
-            rebuilt: dict = {}
-            for j, q in enumerate(coefficients):
-                for e, c in q.terms.items():
-                    lifted = e[: k - 1] + (j,) + e[k - 1 :]
-                    rebuilt[lifted] = c
-            assert Polynomial(d, rebuilt) == p
+            scale = rng.randint(1, 12)
+            monomials, table = _coefficient_tables(p, k, scale)
+            assert len(table) == p.degree_in(k) + 1 and any(table[-1])
+            assert len(set(monomials)) == len(monomials)
+            lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+            m = max(sum(e) - e[k - 1] for e in p.terms)
+            for _ in range(5):
+                numerators = [rng.randint(-50, 50) for _ in range(d - 1)]
+                x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                point = [Fraction(n, scale) for n in numerators]
+                point.insert(k - 1, x)
+                rows = _row_values(table, monomials, numerators)
+                assert sum(v * x**j for j, v in enumerate(rows)) == lcm * scale**m * evaluate(p, point)
 
     def test_trap_set_equivalence(self):
-        # restriction is identically zero iff every coefficient vanishes at base
+        # restriction is identically zero iff every row vanishes at N
         rng = random.Random(606)
         planted = Poly.parse("x1 - 1/2", 2) * Poly.parse("x2 + x1", 2)
-        assert restrict_to_line(planted, 2, (Fraction(1, 2),)).is_zero
+        cases = [(planted, 2, (Fraction(1, 2),))]
         for _ in range(40):
             d = rng.randint(2, 3)
             p = random_polynomial(rng, d, 3)
-            k = rng.randint(1, d)
-            base = random_point(rng, d - 1)
-            all_vanish = all(evaluate(q, base) == 0 for q in p.coefficients_in(k))
-            assert restrict_to_line(p, k, base).is_zero == all_vanish
+            cases.append((p, rng.randint(1, d), random_point(rng, d - 1)))
+        assert restrict_to_line(*cases[0]).is_zero
+        for p, k, base in cases:
+            scale = math.lcm(*(x.denominator for x in base))
+            monomials, table = _coefficient_tables(p, k, scale)
+            rows = _row_values(table, monomials, [int(x * scale) for x in base])
+            assert restrict_to_line(p, k, base).is_zero == (not any(rows))
 
 
 class TestCanonicalClosure:
