@@ -19,16 +19,15 @@ the base is a point, and its one line is counted like any other.
 
 Every base point of one axis shares a denominator D, so it is a tuple of
 integer numerators N with x = N/D.  Once per axis p is read into one integer
-table, by power of x_k and monomial in N, that evaluates at N to a positive
-integer multiple of the restricted polynomial; one evaluator computes the
-monomials, in float64 or in Python ints.  Lines are counted in NumPy slabs:
-the Möbius map x = (lo + hi*t) / (1 + t) turns the table into one of the
-coefficients q_j(N) of a polynomial in t whose positive roots are the line's
-roots inside (lo, hi).  Each q_j is evaluated in float64 next to a forward
-error bound, and a line whose q_j all have certified signs with at most one
-sign variation is counted by Descartes' rule of signs.  Every other line is
-evaluated exactly in Z and counted by `count_int_roots`, one Sturm sequence
-per line.
+table, by power of t and monomial in N: with x = (lo + hi*t) / (1 + t), it
+gives at N the coefficients q_j(N) of a polynomial q in t whose positive
+roots are the line's roots inside (lo, hi); q_0 = 0 marks a root at lo and
+q_kappa = 0 one at hi.  A line counts [q_0 = 0] + [q_kappa = 0] + V, with V
+the distinct roots of q in (0, inf).  Lines are counted in NumPy slabs: each
+q_j is evaluated in float64 next to a forward error bound, and a line whose
+q_j all have certified signs with at most one sign variation takes V from
+Descartes' rule of signs.  Every other line has q evaluated exactly in Z,
+by the same monomial evaluator, and V from `count_positive_roots`.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from .polynomial import Polynomial, RationalLike, TrivialPolynomialError, _coerce
 from .rng import UNIT_BITS, mix64_array
-from .sturm import Ratio, count_int_roots
+from .sturm import count_positive_roots
 
 DEFAULT_SEED = 20240601
 DEFAULT_CONFIDENCE = 0.95
@@ -161,7 +160,7 @@ class AxisEstimate:
     estimate: float
     error_halfwidth: float
     degenerate_lines_hit: int
-    exact: Fraction | None = None
+    exact: Fraction
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,7 @@ class CroftonResult:
     per_axis: tuple[AxisEstimate, ...]
     total: float
     total_error_halfwidth: float
-    total_exact: Fraction | None = None
+    total_exact: Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ def _monomial_values(monomials: list[tuple], base: np.ndarray) -> np.ndarray:
     return values
 
 
-def _mobius_column(kappa: int, i: int, lo: Ratio, hi: Ratio) -> list[int]:
+def _mobius_column(kappa: int, i: int, lo: tuple[int, int], hi: tuple[int, int]) -> list[int]:
     """t^j coefficients, j = 0..kappa, of (a0 + a1*t)**i * (w*(1 + t))**(kappa - i).
 
     With lo = ln/ld, hi = hn/hd, a0 = ln*hd, a1 = hn*ld and w = ld*hd,
@@ -270,6 +269,18 @@ def _mobius_column(kappa: int, i: int, lo: Ratio, hi: Ratio) -> list[int]:
         for s in range(rest + 1):
             column[r + s] += left * math.comb(rest, s)
     return column
+
+
+def _mobius_rows(table: list[list[int]], lo: tuple[int, int], hi: tuple[int, int]) -> list[list[int]]:
+    """`table` moved onto t in [0, inf]: rows[j][r] is the integer factor of
+    t**j * N**monomials[r], so that q_j(N) = sum of rows[j][r] * N**monomials[r]."""
+    kappa = len(table) - 1
+    rows = [[0] * len(factors) for factors in table]
+    for i, factors in enumerate(table):
+        if any(factors):
+            for j, entry in enumerate(_mobius_column(kappa, i, lo, hi)):
+                rows[j] = [x + entry * f for x, f in zip(rows[j], factors)]
+    return rows
 
 
 def error_factor(roundings: int) -> float:
@@ -297,25 +308,17 @@ _EXACT_BELOW = float(1 << 53)
 class _Filter:
     """Float64 Möbius-Descartes counts of axis lines, certified or deferred.
 
-    The rows of the integer monomial table (`_coefficient_tables`) are moved
-    onto t in [0, inf] by the Möbius columns (`_mobius_column`), so the
-    coefficients of the line polynomial in t are q_j(N) = sum of
-    table[j, r] * N**monomials[r], evaluated by `_monomial_values`.
+    The integer Möbius rows (`_mobius_rows`) are rounded to float64 once, and
+    each line's q_j(N) = sum of rows[j][r] * N**monomials[r] is evaluated by
+    `_monomial_values` next to a forward error bound.
     """
 
-    def __init__(self, monomials: list[tuple], table: list[list[int]], lo: Ratio, hi: Ratio):
-        kappa = len(table) - 1
-        rows = [[0] * len(monomials) for _ in range(kappa + 1)]
-        for i, factors in enumerate(table):
-            if not any(factors):
-                continue
-            for j, entry in enumerate(_mobius_column(kappa, i, lo, hi)):
-                rows[j] = [x + entry * f for x, f in zip(rows[j], factors)]
+    def __init__(self, monomials: list[tuple], rows: list[list[int]]):
         self.monomials = monomials
         # A factor beyond float64 raises OverflowError; the caller then
         # counts every line exactly.
-        self.table = np.array(rows, dtype=np.float64)
-        self.absolute = np.abs(self.table)
+        self.rows = np.array(rows, dtype=np.float64)
+        self.absolute = np.abs(self.rows)
         # Each computed term carries 2e + 1 roundings (the factor, e base
         # numerators, e multiplications) for a monomial of degree e, and a sum
         # of n terms adds n - 1.
@@ -332,7 +335,7 @@ class _Filter:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             values = _monomial_values(self.monomials, numerators.astype(np.float64))
-            q = self.table @ values
+            q = self.rows @ values
             sums = self.absolute @ np.abs(values)
             # Below 2**53 every term and partial sum is an exact integer; an
             # inexact base numerator or factor would itself reach 2**53.
@@ -363,7 +366,6 @@ class _AxisLines:
         projected = box.project(k)
         self.k = k
         self.scheme = scheme
-        self.lo, self.hi = (x.as_integer_ratio() for x in box.interval(k))
         den = math.lcm(*(x.denominator for pair in projected.intervals for x in pair))
         # `lines` is the number of lines, the same for every axis.
         if isinstance(scheme, GridScheme):
@@ -375,7 +377,8 @@ class _AxisLines:
             reach = (1 << UNIT_BITS) - 1
             self.lines = scheme.samples if projected.dimension else 1
         self.spans = [(_scaled(a, scale), _scaled(b - a, den)) for a, b in projected.intervals]
-        self.monomials, self.table = _coefficient_tables(p, k, scale)
+        self.monomials, table = _coefficient_tables(p, k, scale)
+        self.rows = _mobius_rows(table, *(x.as_integer_ratio() for x in box.interval(k)))
         # The batch computes N = low + width * multiplier in int64.
         self.fits = all(
             max(abs(low), abs(low + width * reach), width * reach) < 1 << 63
@@ -404,12 +407,14 @@ class _AxisLines:
         return lows[:, None] + multipliers * widths[:, None]
 
     def exact_counts(self, multipliers: np.ndarray) -> np.ndarray:
-        """Counts of the lines in integer arithmetic, -1 for a line inside the zero set."""
+        """Counts of the lines in integer arithmetic, -1 for a line inside the zero set.
+
+        The filter's rule on the exact q, with V from Sturm in place of Descartes."""
         values = _monomial_values(self.monomials, self.numerators(multipliers, dtype=object))
         out = []
-        for coefficients in (np.array(self.table, dtype=object) @ values).T.tolist():
-            count = count_int_roots(coefficients, self.lo, self.hi)
-            out.append(-1 if count is None else count)
+        for q in (np.array(self.rows, dtype=object) @ values).T.tolist():
+            inside = count_positive_roots(q)
+            out.append(-1 if inside is None else inside + (q[0] == 0) + (q[-1] == 0))
         return np.array(out, dtype=np.int64)
 
     @cached_property
@@ -418,7 +423,7 @@ class _AxisLines:
         if not self.fits:
             return None
         try:
-            return _Filter(self.monomials, self.table, self.lo, self.hi)
+            return _Filter(self.monomials, self.rows)
         except OverflowError:
             return None
 

@@ -1,14 +1,14 @@
-"""Certified counting of distinct real roots of an integer polynomial on an interval.
+"""Certified counting of the distinct positive roots of an integer polynomial.
 
-Counts are exact and count each distinct root once, in the closed interval.
-Everything lives in Z[t]: `count_int_roots` takes an integer coefficient
-list and an interval with integer numerator/denominator endpoints.  A
-constant is decided at once.  From degree 1 on, one Sturm remainder sequence
-is built with pseudo-divisions, dividing out integer content at each step,
-so every element is a *positive* rational multiple of the classical chain
-element: the same sign variations, no fraction blow-up.  The sequence ends
-in gcd(p, p'); only when that is not constant is the chain rebuilt on the
-square-free part p / gcd(p, p').
+Everything lives in Z[t]: `count_positive_roots` takes an integer
+coefficient list, such as an axis line's Möbius image (see `crofton`).  A
+constant is decided at once.  From degree 1 on, one Sturm remainder
+sequence is built with pseudo-divisions, dividing out integer content at
+each step, so every element is a *positive* rational multiple of the
+classical chain element: the same sign variations, no fraction blow-up.
+The sequence ends in gcd(p, p'); only when that is not constant is the
+chain rebuilt on the square-free part p / gcd(p, p').  The count is
+V(0) - V(inf), read off the chain's constant and leading coefficients.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from typing import Sequence
 # Integer polynomial: coefficient list, index = power, last entry nonzero
 # (empty list = zero polynomial).
 IntPoly = list[int]
-# Exact rational point as (numerator, denominator), denominator positive.
-Ratio = tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -99,26 +97,16 @@ def _exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return _strip(q)
 
 
-def _sign_at(c: IntPoly, x: Ratio) -> int:
-    """Sign of c evaluated at x = num/den, via homogenized integer Horner."""
-    num, den = x
-    value = 0
-    dpow = 1
-    for coefficient in reversed(c):
-        value = value * num + coefficient * dpow
-        dpow *= den
-    return (value > 0) - (value < 0)
-
-
-def _variations(signs: Sequence[int]) -> int:
+def _variations(values: Sequence[int]) -> int:
+    """Sign changes along `values`, zeros skipped."""
     count = 0
     prev = 0
-    for s in signs:
-        if s == 0:
+    for v in values:
+        if v == 0:
             continue
-        if prev and s != prev:
+        if prev and (v < 0) != (prev < 0):
             count += 1
-        prev = s
+        prev = v
     return count
 
 
@@ -145,21 +133,18 @@ def _int_chain(c: IntPoly) -> list[IntPoly]:
         p = _exact_div(p, g if g[-1] > 0 else [-v for v in g])
 
 
-def _variations_at(chain: list[IntPoly], x: Ratio) -> int:
-    return _variations([_sign_at(c, x) for c in chain])
-
-
 # ---------------------------------------------------------------------------
 # Public interface
 # ---------------------------------------------------------------------------
 
 
-def count_int_roots(c: IntPoly, lo: Ratio, hi: Ratio) -> int | None:
-    """Number of distinct real roots of c in the closed interval [lo, hi].
+def count_positive_roots(c: IntPoly) -> int | None:
+    """Number of distinct roots of c in the open interval (0, inf).
 
-    `c` lists integer coefficients by power and may end in zeros; `lo` and
-    `hi` are (numerator, denominator) pairs with positive denominators and
-    lo < hi.  Returns None when c is identically zero.
+    `c` lists integer coefficients by power and may end in zeros.  Returns
+    None when c is identically zero.  By Sturm's theorem the count is
+    V(0) - V(inf), the sign variations of the chain's constant terms less
+    those of its leading coefficients.
     """
     n = len(c)
     while n and not c[n - 1]:
@@ -167,5 +152,4 @@ def count_int_roots(c: IntPoly, lo: Ratio, hi: Ratio) -> int | None:
     if n <= 1:
         return None if n == 0 else 0
     chain = _int_chain(c[:n])
-    at_root = _sign_at(chain[0], lo) == 0
-    return _variations_at(chain, lo) - _variations_at(chain, hi) + at_root
+    return _variations([e[0] for e in chain]) - _variations([e[-1] for e in chain])

@@ -4,11 +4,11 @@ The oracles deliberately avoid the library code paths they check:
 evaluation is re-implemented term by term, planted-root polynomials are
 expanded by direct convolution, and arc lengths come from 1-D quadrature.
 The exact reference for per-line counts lives here too: restriction to an
-axis line in `Fraction` arithmetic, its root count (`count_real_roots`,
-which scales to integers for the library's `count_int_roots` but skips its
-float filter), and the scalar splitmix64 draws that the library computes
-in NumPy batches.  `Poly` adds exact ring arithmetic to `Polynomial` for
-building test inputs.
+axis line in `Fraction` arithmetic, its root count (`count_real_roots`, a
+classical Sturm chain of the square-free part in `Fraction`s, read at the
+rational interval ends, with no Möbius map and no integer chain), and the
+scalar splitmix64 draws that the library computes in NumPy batches.
+`Poly` adds exact ring arithmetic to `Polynomial` for building test inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 from zeroset import Box, TrivialPolynomialError, parse_polynomial
 from zeroset.crofton import _AxisLines
 from zeroset.polynomial import Polynomial, RationalLike, _coerce
-from zeroset.sturm import IntPoly, count_int_roots
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +284,30 @@ class RootCount:
 IDENTICALLY_ZERO = RootCount(None)
 
 
-def _to_int_poly(u: UnivariatePolynomial) -> IntPoly:
-    """Scale to integer coefficients (positive factor; same roots and signs)."""
-    if u.is_zero:
-        return []
-    lcm = 1
-    for c in u.coefficients:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c.numerator * (lcm // c.denominator)) for c in u.coefficients]
+def _divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by a nonzero b, coefficient lists by power."""
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        f = r[-1] / b[-1]
+        q[shift] = f
+        for i, v in enumerate(b):
+            r[shift + i] -= f * v
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def _sturm_chain(u: UnivariatePolynomial) -> list[UnivariatePolynomial]:
+    """Sturm chain of the square-free part of a nonzero u: the classical
+    remainder sequence u, u', -rem, ... divided through by its last element,
+    gcd(u, u')."""
+    chain = [list(u.coefficients), list(u.derivative().coefficients)]
+    while chain[-1]:
+        chain.append([-v for v in _divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    return [UnivariatePolynomial(_divmod(c, chain[-1])[0]) for c in chain]
 
 
 def _check_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -309,8 +324,15 @@ def count_real_roots(u: UnivariatePolynomial, lo, hi) -> RootCount:
     variation difference on (lo, hi] plus an exact check of u(lo) = 0.
     """
     lo, hi = _check_interval(lo, hi)
-    count = count_int_roots(_to_int_poly(u), lo.as_integer_ratio(), hi.as_integer_ratio())
-    return IDENTICALLY_ZERO if count is None else RootCount.finite(count)
+    if u.is_zero:
+        return IDENTICALLY_ZERO
+    chain = _sturm_chain(u)
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (c.evaluate(x) for c in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return RootCount.finite(variations(lo) - variations(hi) + (u.evaluate(lo) == 0))
 
 
 def line_count(p: Polynomial, box: Box, k: int, base: Sequence[RationalLike]) -> RootCount:

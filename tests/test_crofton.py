@@ -586,6 +586,31 @@ class TestFilterDeferral:
             ]
             assert line_counts(p, UNIT_SQUARE, k, scheme) == expected
 
+    @pytest.mark.parametrize(
+        "text,box,count,deferred",
+        [
+            # roots 0, 1/3, 2/3, 1: both ends and two inside, so q has V = 2
+            ("x1^4 - 2*x1^3 + 11/9*x1^2 - 2/9*x1", "0,1", 4, True),
+            # on [1/3, 1] only 2/3 is inside: V = 1, decided by the filter
+            ("x1^4 - 2*x1^3 + 11/9*x1^2 - 2/9*x1", "1/3,1;0,1", 3, False),
+            # roots -1, -1/3, 1/3, 1
+            ("x1^4 - 10/9*x1^2 + 1/9", "-1,1", 4, True),
+        ],
+    )
+    @pytest.mark.parametrize("scheme", [GridScheme(4), MonteCarloScheme(6, seed=3)])
+    def test_roots_on_both_ends_and_inside(self, text, box, count, deferred, scheme):
+        # A deferred line's exact count needs both end terms, [q_0 = 0] and
+        # [q_kappa = 0], next to Sturm's V.
+        p = parse_polynomial(text, 2)
+        box = Box.parse(box, 2)
+        n_points = len(reference_base_points(box, 1, scheme))
+        _, verdicts, exact = filter_verdicts(p, box, 1, scheme, n_points)
+        assert verdicts.tolist() == [deferred] * n_points
+        assert exact.tolist() == [count] * n_points
+        for k in (1, 2):
+            bases = reference_base_points(box, k, scheme)
+            assert line_counts(p, box, k, scheme) == [line_count(p, box, k, b).count for b in bases]
+
 
 def test_monomial_values_exact_in_ints_and_below_2_53_in_floats():
     """The one evaluator gives Python ints in object dtype, and float64 values
@@ -634,7 +659,9 @@ _schemes = st.one_of(
 @settings(max_examples=100)
 @given(_terms, st.lists(_intervals, min_size=2, max_size=2), _schemes, st.integers(1, 2))
 def test_filter_decides_only_exact_counts(terms, intervals, scheme, k):
-    """Every line the filter decides has the count `count_int_roots` gives it."""
+    """Every line the filter decides has the count `exact_counts` gives it: the
+    same rule, with V from Sturm's count of the distinct positive roots of the
+    exact Möbius image q, and the box ends from q_0 and q_kappa."""
     p = Polynomial(2, terms)
     if p.is_trivial:
         return

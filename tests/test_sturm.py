@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from zeroset.sturm import _int_chain, _variations_at, count_int_roots
+from zeroset.crofton import _mobius_rows
+from zeroset.sturm import _int_chain, _variations, count_positive_roots
 
 from oracles import (
     IDENTICALLY_ZERO,
@@ -22,6 +23,15 @@ def _ratio(x, k=1) -> tuple[int, int]:
     """x as a (numerator, denominator) pair, unreduced by the factor k."""
     x = Fraction(x)
     return x.numerator * k, x.denominator * k
+
+
+def count_int_roots(c, lo, hi):
+    """Distinct roots of c in [lo, hi], (numerator, denominator) pairs, as the
+    line counter finds them: [q_0 = 0] + [q_kappa = 0] + count_positive_roots(q)
+    for the Möbius image q of c on t in [0, inf], or None for c = 0."""
+    q = [row[0] for row in _mobius_rows([[v] for v in c], lo, hi)]
+    inside = count_positive_roots(q)
+    return None if inside is None else inside + (q[0] == 0) + (q[-1] == 0)
 
 
 def _ints(u: UnivariatePolynomial) -> list[int]:
@@ -53,7 +63,8 @@ class TestSturmChain:
         for _ in range(100):
             u, roots = planted_univariate(rng, max_degree=8, max_multiplicity=1)
             chain = _int_chain(_ints(u))
-            half_open = _variations_at(chain, (-10, 1)) - _variations_at(chain, (10, 1))
+            below, above = ([_at(c, x) for c in chain] for x in (-10, 10))
+            half_open = _variations(below) - _variations(above)
             assert half_open == sum(1 for r in roots if -10 < r <= 10)
             closed = count_real_roots(u, -10, 10).count
             assert closed == bisection_root_count(u, -10, 10, depth=400)
