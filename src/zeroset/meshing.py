@@ -85,10 +85,17 @@ def check_measure(p: Polynomial, box: Box, resolution: int, keep_mesh: bool = Fa
     """Every rule of `measure`, in order: `crofton.check_bound` (p is nontrivial
     and of `box`'s dimension), a kept mesh needs d = 2 or 3, d is 1..3, and a
     mesh (d = 2, 3) needs 2 cells per axis and float64 values.  Its coefficients
-    and ends must be finite, and reach + log2(terms) + 1 < 1023 (`_reach`) keeps
-    every vertex value, and every difference of two, finite.  Bounds by the
-    widest cell side h must stay below 2**1023: sides h, squared lengths 2h**2,
-    squared cross-product norms 12h**4 and the total 5 n**d 2h**(d-1).
+    and ends must be finite, and on each axis [a, b] the float64 nodes
+    float(a) + i*h, h = float((b - a) / n), must strictly increase: h > 4u for
+    u = ulp(max(|a|, |b|)) ensures it.  With |a|, |b| < 2**k, every i*h and
+    node lies below 2**(k+1), where floats are at most 2u apart, so i*h is
+    rounded by at most u, consecutive ones differ by more than h - 2u > 2u,
+    and their sums with float(a) round to distinct floats.  Then
+    reach + log2(terms) + 1 < 1023 (`_reach`) keeps every vertex value, and
+    every difference of two, finite.  Bounds by the widest cell side h must
+    stay below 2**1023: sides h, squared lengths 2h**2 and squared
+    cross-product norms 12h**4.  The node rule keeps n below 2**52, so the
+    total 5 n**d 2h**(d-1) stays below 2**670 and needs no check of its own.
     """
     check_bound(p, box)
     d = box.dimension
@@ -105,12 +112,15 @@ def check_measure(p: Polynomial, box: Box, resolution: int, keep_mesh: bool = Fa
         reach = _reach([(e, float(c)) for e, c in p.terms.items()], ends)
     except OverflowError:
         raise ValueError("a coefficient or box end is beyond the float64 range") from None
+    for (w, e), (lo, hi) in zip(box.widths, ends):  # w / (e n) rounds as float((b - a) / n)
+        if not w / (e * resolution) > 4 * math.ulp(max(-lo, hi)):
+            raise ValueError("the box is too narrow for distinct float64 mesh nodes")
     if reach + math.log2(len(p.terms)) + 1 >= 1023:
         raise ValueError("the polynomial's values on the box pass the float64 range meshes need")
     n = math.log2(resolution)
     h = max(math.log2(w) - math.log2(e) for w, e in box.widths) - n  # log2 of the widest side
     square = 2 * h + 1 if d == 2 else 4 * h + math.log2(12)  # a squared length or norm
-    if max(square, d * n + (d - 1) * h + math.log2(10)) >= 1023:
+    if square >= 1023:
         raise ValueError("the mesh's lengths or areas on the box pass the float64 range")
 
 

@@ -252,6 +252,19 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "parse_error"
 
+    def test_box_too_narrow_for_mesh_nodes_is_2(self, capsys):
+        # Every float64 node of axis 1 rounds to 1.0; the line counter needs
+        # no nodes and still finds the unit segment.
+        argv = ["--poly", "x1 - 1 - 1/2000000000000000000000", "--dim", "2",
+                "--box", "1,1000000000000000000001/1000000000000000000000;0,1"]
+        code, out, err = run_cli(["measure"] + argv + ["--resolution", "8"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "parse_error"
+        code, out, _ = run_cli(["crofton"] + argv, capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["crofton"]["total"] == 1.0
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -121,13 +121,54 @@ def test_measure_rejects_lengths_beyond_float64(d, root, end):
 
 
 def test_mesh_total_beyond_float64_rejected():
-    # Cells of side 2**200: each triangle's area fits, and so do 2**300 cells
-    # of them, but 2**900 cells would not.  Only the check runs, as no such
-    # mesh can be built.
+    # Cells of side 2**200: each triangle's area fits, and so would 2**300
+    # cells of them, but not 2**900.  Neither grid has distinct float64
+    # nodes (2**299 + 2**200 rounds to 2**299), and the node rule, which
+    # keeps n below 2**52, rejects both before any total could pass 2**1023.
     p = parse_polynomial("x1 - 1", 3)
-    meshing.check_measure(p, Box.cube(0, 2**300, 3), 2**100)
+    with pytest.raises(ValueError, match="float64 mesh nodes"):
+        meshing.check_measure(p, Box.cube(0, 2**300, 3), 2**100)
     with pytest.raises(ValueError, match="float64"):
         meshing.check_measure(p, Box.cube(0, 2**500, 3), 2**300)
+
+
+class TestNodeSpacing:
+    def test_box_narrower_than_float64_spacing_rejected(self):
+        # Every node float(1) + i*h rounds to 1.0, so no cell could change
+        # sign and the unit segment x1 = 1 + 1/(2*10**21) would mesh to 0.
+        p = parse_polynomial("x1 - 1 - 1/2000000000000000000000", 2)
+        box = Box(((1, 1 + Fraction(1, 10**21)), (0, 1)))
+        with pytest.raises(ValueError, match="too narrow"):
+            measure(p, box, 8)
+
+    def test_narrow_box_with_distinct_nodes_meshes(self):
+        p = parse_polynomial("x1 - 1 - 1/2199023255552", 2)  # 1 + 2**-41
+        assert measure(p, Box(((1, 1 + Fraction(1, 2**40)), (0, 1))), 8).value == 1.0
+
+    def test_threshold(self):
+        # On [1, 1 + 8w u] at n = 8, with u = 2**-52 the spacing there,
+        # the cell side is w u; the rule takes w > 4.
+        p = parse_polynomial("x1 + x2 - 1", 2)
+        meshing.check_measure(p, Box(((1, 1 + Fraction(40, 2**52)), (0, 1))), 8)
+        with pytest.raises(ValueError, match="too narrow"):
+            meshing.check_measure(p, Box(((1, 1 + Fraction(32, 2**52)), (0, 1))), 8)
+
+    @given(
+        st.integers(-(2**53), 2**53),
+        st.integers(-80, 80),
+        st.integers(1, 200),
+        st.integers(2, 16),
+    )
+    @example(2**53 - 3, -53, 100, 8)  # crosses the binade at 1.0
+    @example(-(2**52), -52, 50, 8)  # ends at -1 + 50 ulp(1)
+    def test_accepted_boxes_have_strictly_increasing_nodes(self, m, e, w, n):
+        a = Fraction(m) * Fraction(2) ** e
+        b = a + w * Fraction(math.ulp(float(a)))
+        try:
+            meshing.check_measure(parse_polynomial("x1 + x2 - 1", 2), Box(((a, b), (0, 1))), n)
+        except ValueError:
+            return
+        assert np.all(np.diff(meshing._node_array(a, b, n)) > 0)
 
 
 class TestMarchingSquares:

@@ -12,6 +12,7 @@ from zeroset.sturm import _int_chain, _variations, count_positive_roots
 from oracles import (
     IDENTICALLY_ZERO,
     UnivariatePolynomial,
+    _divmod,
     bisection_root_count,
     count_real_roots,
     expand_factors,
@@ -44,18 +45,26 @@ class TestSturmChain:
         assert _int_chain([-1, 2]) == [[-1, 2], [1]]
 
     def test_square_deflated(self):
-        # 4 (t - 1/2)^2: the chain is that of its square-free part 2t - 1
-        assert _int_chain([1, -4, 4]) == [[-1, 2], [1]]
+        # 4 (t - 1/2)^2: the sequence stops at gcd(p, p') = 2t - 1, whose
+        # quotients form the chain of the square-free part; one root is counted
+        assert _int_chain([1, -4, 4]) == [[1, -4, 4], [-1, 2]]
+        assert count_positive_roots([1, -4, 4]) == 1
 
     def test_chain_invariants(self):
+        # Degrees fall; the last element is gcd(u, u'), constant exactly when
+        # u is square-free (every planted root simple) and else a divisor of u.
         rng = random.Random(42)
+        square_free = 0
         for _ in range(50):
-            u, _ = planted_univariate(rng, max_degree=8)
+            u, roots = planted_univariate(rng, max_degree=8)
             chain = _int_chain(_ints(u))
             degrees = [len(c) - 1 for c in chain]
             assert all(a > b for a, b in zip(degrees, degrees[1:]))
             last = chain[-1]
-            assert len(chain) == 1 or (len(last) == 1 and last[0] != 0)
+            assert (len(last) == 1) == (u.degree == len(roots))
+            assert not _divmod(u.coefficients, [Fraction(v) for v in last])[1]
+            square_free += u.degree == len(roots)
+        assert 0 < square_free < 50
 
     def test_variation_count_matches_bisection_oracle(self):
         # random degree-8 polynomials with simple planted roots
@@ -251,3 +260,36 @@ class TestCountIntRootsProperties:
         mirrored = [v if i % 2 == 0 else -v for i, v in enumerate(c)]
         reflected = count_int_roots(mirrored, _ratio(-hi), _ratio(-lo))
         assert reflected == count_int_roots(c, _ratio(lo), _ratio(hi))
+
+
+# Integer polynomials with known distinct positive roots: planted rational
+# roots n/d of multiplicity 1-3 (some at 0, some negative), times an optional
+# irreducible quadratic a t^2 + b t + c (c > b^2 / 4a), sometimes squared.
+_rational_roots = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(1, 3), st.integers(1, 3)),
+    max_size=4,
+    unique_by=lambda r: Fraction(r[0], r[1]),
+)
+_quadratic = st.builds(
+    lambda a, b, k: [b * b // (4 * a) + k, b, a],
+    st.integers(1, 4),
+    st.integers(-6, 6),
+    st.integers(1, 3),
+)
+
+
+class TestCountPositiveRootsMetamorphic:
+    @given(
+        _rational_roots,
+        _quadratic,
+        st.integers(0, 2),
+        st.sampled_from([1, -1, 6]),
+        st.integers(1, 3),
+    )
+    def test_planted_positive_roots(self, roots, quadratic, squared, lead, shift):
+        u = expand_factors([([lead], 1), (quadratic, squared)] + [([-n, d], m) for n, d, m in roots])
+        expected = sum(1 for n, _, _ in roots if n > 0)
+        assert count_positive_roots(u) == expected
+        assert count_positive_roots([0] * shift + u) == expected  # t^m u
+        assert count_positive_roots(expand_factors([(u, 2)])) == expected  # u u
+        assert count_positive_roots(u + [0] * shift) == expected  # trailing zeros
