@@ -12,13 +12,17 @@ The module neither evaluates nor does arithmetic: the line counter reads
 the terms into one integer monomial table per axis, and the mesher
 evaluates them in float64.
 
+`parse_polynomial` reads the text in one pass over its tokens.  Malformed
+text, a digit run past Python's integer conversion limit included, raises
+`ParseError` with a message and the 0-based position of the fault.
+
 Polynomials are immutable after construction.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -136,17 +140,9 @@ class Polynomial:
 _TOKEN_RE = re.compile(r"(?P<var>x\d+)|(?P<dec>\d+\.\d+)|(?P<int>\d+)|(?P<op>[-+*/^])")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "var" | "dec" | "int" | "op"
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    n = len(text)
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, closed by an ("end", "", len(text)) sentinel."""
+    tokens, pos, n = [], 0, len(text)
     while pos < n:
         if text[pos].isspace():
             pos += 1
@@ -154,110 +150,79 @@ def _tokenize(text: str) -> list[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append(_Token(m.lastgroup, m.group(), pos))
+        tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
+    tokens.append(("end", "", n))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, dimension: int):
-        if dimension < 1:
-            raise ValueError(f"dimension must be positive, got {dimension}")
-        self.text = text
-        self.dimension = dimension
-        self.tokens = _tokenize(text)
-        self.index = 0
+def _read(digits: str, position: int) -> int | Fraction:
+    """The value of a digit run or decimal; a run past the int limit is a ParseError."""
+    try:
+        return Fraction(digits) if "." in digits else int(digits)
+    except ValueError:  # raised only by the digit limit of Python >= 3.10.7
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"digit run longer than the {limit}-digit integer limit", position) from None
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
 
-    def next(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.index += 1
-        return token
-
-    def parse(self) -> Polynomial:
-        terms: dict[Exponent, Fraction] = {}
-        sign = 1
-        token = self.peek()
-        if token is not None and token.kind == "op" and token.text in "+-":
-            self.next()
-            sign = -1 if token.text == "-" else 1
-        self.parse_term(terms, sign)
-        while (token := self.peek()) is not None:
-            if token.kind != "op" or token.text not in "+-":
-                raise ParseError(f"expected '+' or '-' before {token.text!r}", token.position)
-            self.next()
-            self.parse_term(terms, -1 if token.text == "-" else 1)
-        return Polynomial(self.dimension, terms)
-
-    def parse_term(self, terms: dict[Exponent, Fraction], sign: int) -> None:
-        token = self.peek()
-        if token is None:
-            raise ParseError("expected a term", len(self.text))
-        coefficient = Fraction(1)
-        exponents = [0] * self.dimension
-        if token.kind in ("int", "dec"):
-            coefficient = self.parse_coefficient()
-        elif token.kind == "var":
-            self.parse_factor(exponents)
-        else:
-            raise ParseError(f"expected a coefficient or variable, got {token.text!r}", token.position)
-        while (token := self.peek()) is not None and token.kind == "op" and token.text == "*":
-            self.next()
-            self.parse_factor(exponents)
-        key = tuple(exponents)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coefficient
-
-    def parse_coefficient(self) -> Fraction:
-        token = self.next()
-        if token.kind == "dec":
-            return Fraction(token.text)  # exact: 0.25 -> 1/4
-        if token.kind != "int":
-            raise ParseError(f"expected a number, got {token.text!r}", token.position)
-        numerator = int(token.text)
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "op" and nxt.text == "/":
-            self.next()
-            den_token = self.next()
-            if den_token.kind != "int":
-                raise ParseError(
-                    f"expected a positive integer denominator, got {den_token.text!r}",
-                    den_token.position,
-                )
-            denominator = int(den_token.text)
-            if denominator == 0:
-                raise ParseError("denominator must be positive", den_token.position)
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
-
-    def parse_factor(self, exponents: list[int]) -> None:
-        token = self.next()
-        if token.kind != "var":
-            raise ParseError(f"expected a variable, got {token.text!r}", token.position)
-        index = int(token.text[1:])
-        if not 1 <= index <= self.dimension:
-            raise ParseError(
-                f"variable index {index} out of range 1..{self.dimension}", token.position
-            )
-        power = 1
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "op" and nxt.text == "^":
-            self.next()
-            exp_token = self.next()
-            if exp_token.kind == "op" and exp_token.text == "-":
-                raise ParseError("negative exponent", exp_token.position)
-            if exp_token.kind != "int":
-                raise ParseError(
-                    f"expected a nonnegative integer exponent, got {exp_token.text!r}",
-                    exp_token.position,
-                )
-            power = int(exp_token.text)
-        exponents[index - 1] += power
+def _unexpected(token: tuple[str, str, int], expected: str) -> ParseError:
+    kind, text, position = token
+    message = "unexpected end of input" if kind == "end" else f"expected {expected}, got {text!r}"
+    return ParseError(message, position)
 
 
 def parse_polynomial(text: str, dimension: int) -> Polynomial:
     """Parse an expression like ``"x1*x2 - 1/4"`` into a canonical Polynomial."""
-    return _Parser(text, dimension).parse()
+    if dimension < 1:
+        raise ValueError(f"dimension must be positive, got {dimension}")
+    tokens = _tokenize(text)  # an unexpected character anywhere is the first error
+    terms: dict[Exponent, Fraction] = {}
+    i = 0
+    while True:  # one signed term per pass; only the first may omit its sign
+        sign = -1 if tokens[i][1] == "-" else 1
+        i += tokens[i][1] in ("+", "-")
+        coefficient, exponents, start = Fraction(1), [0] * dimension, i
+        while True:  # the term's '*'-joined items; only the first may be a number
+            kind, word, at = tokens[i]
+            if kind == "var":
+                index = _read(word[1:], at)
+                if not 1 <= index <= dimension:
+                    raise ParseError(f"variable index {index} out of range 1..{dimension}", at)
+                power = 1
+                if tokens[i + 1][1] == "^":
+                    i += 2
+                    kind, word, at = tokens[i]
+                    if word == "-":
+                        raise ParseError("negative exponent", at)
+                    if kind != "int":
+                        raise _unexpected(tokens[i], "a nonnegative integer exponent")
+                    power = _read(word, at)
+                exponents[index - 1] += power
+            elif i > start:
+                raise _unexpected(tokens[i], "a variable")
+            elif kind == "end":
+                raise ParseError("expected a term", at)
+            elif kind == "op":
+                raise ParseError(f"expected a coefficient or variable, got {word!r}", at)
+            else:
+                coefficient = _read(word, at)  # exact: 0.25 -> 1/4
+                if kind == "int" and tokens[i + 1][1] == "/":
+                    i += 2
+                    kind, word, at = tokens[i]
+                    if kind != "int":
+                        raise _unexpected(tokens[i], "a positive integer denominator")
+                    denominator = _read(word, at)
+                    if not denominator:
+                        raise ParseError("denominator must be positive", at)
+                    coefficient = Fraction(coefficient, denominator)
+            i += 1
+            if tokens[i][1] != "*":
+                break
+            i += 1
+        key = tuple(exponents)
+        terms[key] = terms.get(key, Fraction(0)) + sign * coefficient
+        kind, word, at = tokens[i]
+        if kind == "end":
+            return Polynomial(dimension, terms)
+        if word not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-' before {word!r}", at)

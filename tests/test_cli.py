@@ -62,6 +62,17 @@ class TestExitCodes:
         code, _, _ = run_cli(["bound", "--poly", "x5", "--dim", "2"], capsys)
         assert code == 2
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int digit limit"
+    )
+    def test_number_past_the_int_limit_is_2(self, capsys):
+        code, out, err = run_cli(["bound", "--poly", "1" * 5000 + "*x1", "--dim", "1"], capsys)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["kind"] == "parse_error"
+        assert record["message"].endswith("integer limit (at position 0)")
+
     def test_bad_box_is_2(self, capsys):
         code, _, _ = run_cli(["bound", "--poly", "x1", "--dim", "1", "--box", "1,0"], capsys)
         assert code == 2

@@ -1,8 +1,11 @@
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zeroset import ParseError, TrivialPolynomialError, parse_polynomial
 from zeroset.crofton import _coefficient_tables
@@ -73,6 +76,145 @@ class TestParsing:
         for _ in range(50):
             p = random_polynomial(rng, rng.randint(1, 3), 3)
             assert parse_polynomial(str(p), p.dimension) == p
+
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "text, dimension, position, message",
+        [
+            ("x1 + @", 1, 5, "unexpected character '@'"),
+            ("x", 1, 0, "unexpected character 'x'"),
+            ("1.", 1, 1, "unexpected character '.'"),
+            ("", 1, 0, "expected a term"),
+            ("-", 1, 1, "expected a term"),
+            ("x1 +", 1, 4, "expected a term"),
+            ("*x1", 1, 0, "expected a coefficient or variable, got '*'"),
+            ("+-x1", 1, 1, "expected a coefficient or variable, got '-'"),
+            ("x1 x2", 2, 3, "expected '+' or '-' before 'x2'"),
+            ("1.5/2", 1, 3, "expected '+' or '-' before '/'"),
+            ("x1^2^3", 1, 4, "expected '+' or '-' before '^'"),
+            ("1/", 1, 2, "unexpected end of input"),
+            ("x1*", 1, 3, "unexpected end of input"),
+            ("x1^", 1, 3, "unexpected end of input"),
+            ("1/x1", 1, 2, "expected a positive integer denominator, got 'x1'"),
+            ("1/0", 1, 2, "denominator must be positive"),
+            ("2*3", 1, 2, "expected a variable, got '3'"),
+            ("x3", 2, 0, "variable index 3 out of range 1..2"),
+            ("x0", 2, 0, "variable index 0 out of range 1..2"),
+            ("x1^-2", 1, 3, "negative exponent"),
+            ("x1^1.5", 1, 3, "expected a nonnegative integer exponent, got '1.5'"),
+            ("x1^x1", 1, 3, "expected a nonnegative integer exponent, got 'x1'"),
+        ],
+    )
+    def test_message_and_position(self, text, dimension, position, message):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, dimension)
+        assert (err.value.message, err.value.position) == (message, position)
+        assert str(err.value).endswith(f"(at position {position})")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int digit limit"
+    )
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("1" * 5000, 0),
+            ("x" + "1" * 5000, 0),
+            ("x1^" + "1" * 5000, 3),
+            ("1/" + "1" * 5000, 2),
+            ("0." + "1" * 5000, 0),
+            ("x1 - " + "2" * 5000 + "*x1", 5),
+        ],
+        ids=["coefficient", "index", "exponent", "denominator", "decimal", "second-term"],
+    )
+    def test_number_past_the_int_limit(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, 1)
+        assert err.value.position == position
+        assert f"{sys.get_int_max_str_digits()}-digit" in err.value.message
+
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+_ZEROS = st.sampled_from(["", "", "0", "00"])
+
+
+@st.composite
+def _term(draw, dimension):
+    """The tokens of one unsigned term, with the coefficient and exponents it denotes."""
+    kind = draw(st.sampled_from(["none", "int", "fraction", "decimal"]))
+    whole = draw(st.integers(0, 999))
+    tokens, coefficient = [], Fraction(1)
+    if kind == "int":
+        tokens, coefficient = [draw(_ZEROS) + str(whole)], Fraction(whole)
+    elif kind == "fraction":
+        denominator = draw(st.integers(1, 99))
+        tokens = [draw(_ZEROS) + str(whole), "/", draw(_ZEROS) + str(denominator)]
+        coefficient = Fraction(whole, denominator)
+    elif kind == "decimal":
+        digits = draw(st.text("0123456789", min_size=1, max_size=4))
+        tokens = [f"{draw(_ZEROS)}{whole}.{digits}"]
+        coefficient = whole + Fraction(int(digits), 10 ** len(digits))
+    exponents = [0] * dimension
+    factors = st.tuples(st.integers(1, dimension), st.none() | st.integers(0, 3))
+    for index, power in draw(st.lists(factors, min_size=kind == "none", max_size=4)):
+        if tokens:
+            tokens.append("*")
+        tokens.append(f"x{draw(_ZEROS)}{index}")
+        if power is not None:
+            tokens += ["^", draw(_ZEROS) + str(power)]
+        exponents[index - 1] += 1 if power is None else power
+    return tokens, coefficient, tuple(exponents)
+
+
+@st.composite
+def _polynomial_texts(draw):
+    """A text in the grammar, its dimension, and the terms it denotes in Fractions."""
+    dimension = draw(st.integers(1, 3))
+    terms = draw(st.lists(_term(dimension), min_size=1, max_size=5))
+    terms += draw(st.lists(st.sampled_from(terms), max_size=3))  # repeated terms add or cancel
+    tokens, expected = [], {}
+    for k, (term, coefficient, exponents) in enumerate(terms):
+        sign = draw(st.sampled_from(["+", "-", ""] if k == 0 else ["+", "-"]))
+        tokens += [sign, *term] if sign else term
+        value = -coefficient if sign == "-" else coefficient
+        expected[exponents] = expected.get(exponents, Fraction(0)) + value
+    text = draw(_SPACE) + "".join(token + draw(_SPACE) for token in tokens)
+    return text, dimension, {e: c for e, c in expected.items() if c}
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A grammar text with one character inserted, deleted or replaced, and its dimension."""
+    text, dimension, _ = draw(_polynomial_texts())
+    at = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["insert", "delete", "replace"]))
+    character = draw(st.sampled_from(list("+-*/^x0123456789. \t") + ["@", "y", "e", "(", "\u0663"]))
+    text = text[:at] + ("" if how == "delete" else character) + text[at + (how != "insert"):]
+    return text, dimension
+
+
+class TestParserProperties:
+    @settings(max_examples=200)
+    @given(case=_polynomial_texts())
+    def test_text_parses_to_the_terms_it_was_built_from(self, case):
+        text, dimension, expected = case
+        p = parse_polynomial(text, dimension)
+        assert (p.dimension, p.terms) == (dimension, expected)
+
+    @settings(max_examples=250)
+    @given(case=_mutated_texts())
+    def test_mutated_text_parses_or_raises_parse_error(self, case):
+        text, dimension = case
+        try:
+            parse_polynomial(text, dimension)
+        except ParseError as err:
+            # An error at the end of the text is the only one not at a character.
+            at_end = err.message in ("expected a term", "unexpected end of input")
+            assert err.position == len(text) if at_end else not text[err.position].isspace()
+            assert str(err).endswith(f"(at position {err.position})")
+        else:
+            assert all(1 <= int(k) <= dimension for k in re.findall(r"x(\d+)", text))
 
 
 class TestDegree:
