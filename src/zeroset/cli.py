@@ -9,7 +9,8 @@ Serialization: exact rationals appear as "num/den" strings ("2", "-1/4"),
 reals as shortest round-trip decimals.  Exit codes: 0 ok, 4 I/O error, and,
 in order before any estimate runs, 2 for bad syntax or polynomial text, 3
 for the zero polynomial, 2 for a rule of the estimates (`check_crofton`,
-`check_measure`, `check_sharpness`); each failure prints a JSON error record
+`check_measure`, `check_sharpness`) and 2 for a theorem bound whose digits
+pass Python's int-to-string limit; each failure prints a JSON error record
 to stderr.  Any other exception is a bug and propagates.
 """
 
@@ -284,8 +285,19 @@ def _flatten_for_csv(results: dict) -> tuple[list[str], list[list]]:
 # ---------------------------------------------------------------------------
 
 
-def _execute(config: RunConfig, p: Polynomial | None) -> dict:
-    """Run the estimates of a checked configuration; `p` is None for sharpness."""
+def _bound_text(p: Polynomial, box: Box) -> str:
+    """The theorem bound as "num/den" text, or a ValueError past Python's int digit limit."""
+    bound = theorem_bound(p, box)
+    try:
+        return str(bound)
+    except ValueError:  # raised only by the digit limit of Python >= 3.10.7
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"the bound is longer than the {limit}-digit integer limit") from None
+
+
+def _execute(config: RunConfig, p: Polynomial | None, bound: str | None) -> dict:
+    """Run the estimates of a checked configuration; `p` is None for sharpness,
+    and `bound` the theorem bound's text when the report holds it."""
     results: dict = {}
     if config.command == "sharpness":
         rows = sharpness_experiment(
@@ -294,8 +306,8 @@ def _execute(config: RunConfig, p: Polynomial | None) -> dict:
         results["sharpness"] = [asdict(r) for r in rows]
         return results
 
-    if config.command in ("bound", "crofton", "report"):
-        results["theorem_bound"] = str(theorem_bound(p, config.box))
+    if bound is not None:
+        results["theorem_bound"] = bound
     if config.command in ("crofton", "report"):
         crofton = crofton_upper_estimate(p, config.box, config.scheme)
         results["crofton"] = _crofton_dict(crofton)
@@ -318,7 +330,7 @@ def main(argv=None) -> int:
     # Inputs are checked before any estimate runs; an estimate's ValueError is a bug.
     try:
         config = _build_config(_build_parser().parse_args(argv))
-        p = None
+        p = bound = None
         if config.command != "sharpness":
             p = parse_polynomial(config.polynomial, config.dimension)
             check_bound(p, config.box)  # exit 3 for the zero polynomial, on every subcommand
@@ -326,6 +338,8 @@ def main(argv=None) -> int:
                 check_crofton(p, config.box)
             if config.measured or config.dump_mesh:
                 check_measure(p, config.box, config.resolution, bool(config.dump_mesh))
+            if config.command in ("bound", "crofton", "report"):
+                bound = _bound_text(p, config.box)
     except TrivialPolynomialError as exc:
         _emit_error(EXIT_TRIVIAL, "trivial_polynomial", str(exc))
         return EXIT_TRIVIAL
@@ -333,7 +347,7 @@ def main(argv=None) -> int:
         _emit_error(EXIT_PARSE, "parse_error", str(exc))
         return EXIT_PARSE
     try:
-        results = _execute(config, p)
+        results = _execute(config, p, bound)
         payload = {"config": _config_dict(config), "results": results}
         if config.format == "json":
             text = json.dumps(payload, indent=2, allow_nan=False) + "\n"

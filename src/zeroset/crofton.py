@@ -387,18 +387,17 @@ class _AxisLines:
 
     def multipliers(self, start: int, stop: int) -> np.ndarray:
         """int64 multipliers of lines start..stop-1, one row per base axis."""
-        index = np.arange(start, stop, dtype=np.int64)
         out = np.empty((len(self.spans), stop - start), dtype=np.int64)
         if isinstance(self.scheme, GridScheme):
+            index = np.arange(start, stop, dtype=np.int64)
             for b in reversed(range(len(self.spans))):
                 index, j = np.divmod(index, self.scheme.points_per_axis)
                 out[b] = 2 * j + 1
-        else:
+        else:  # line i on base axis b draws counter (i + (k - 1) * samples) * m + b
             m = len(self.spans)
-            counters = (index + (self.k - 1) * self.scheme.samples).astype(np.uint64) * np.uint64(m)
-            for b in range(m):
-                bits = mix64_array(self.scheme.seed, counters + np.uint64(b))
-                out[b] = bits >> np.uint64(64 - UNIT_BITS)
+            first = np.uint64((start + (self.k - 1) * self.scheme.samples) * m % 2**64)
+            bits = mix64_array(self.scheme.seed, first + np.arange(out.size, dtype=np.uint64))
+            out[:] = (bits >> np.uint64(64 - UNIT_BITS)).reshape(stop - start, m).T
         return out
 
     def numerators(self, multipliers: np.ndarray, dtype=np.int64) -> np.ndarray:

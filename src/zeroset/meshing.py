@@ -41,14 +41,17 @@ ambiguous faces (diagonally alternating corner signs) samples the
 polynomial at those face centers, where a square's one face is the square
 itself.  When most centers are negative, the cell takes the table entry of
 the complementary case, 15 - c for squares and 255 - c for cubes, which
-crosses the same edges.  Two kernels then compute the same floats.  The
-flat kernel (`_march_batch`) looks up each primitive vertex's edge in
-tables indexed by case, for slices of up to `_BATCH_CELLS` cells of any
-cases.  The folded kernel (`_fold`) meshes all the cells of one case in a
-chunk at once: the case fixes each vertex's edge, so t is computed once per
-crossed edge and the constant coordinates fold away.  Its cost, some 15
-NumPy calls per primitive of the case, pays off only on many cells, so only
-cases of at least `_FOLD_CELLS` cells in the chunk are folded.
+crosses the same edges.  Every chunk, kept or not, goes through
+`_measures`: two kernels give the same squared lengths or squared
+cross-product norms, and `_measures` takes their square roots and 1/(d-1)!
+scale once.  The flat kernel (`_march_batch`) looks up each primitive
+vertex's edge in tables indexed by case, for slices of up to `_BATCH_CELLS`
+cells of any cases.  The folded kernel (`_fold`) meshes all the cells of
+one case in a chunk at once: the case fixes each vertex's edge, so t is
+computed once per crossed edge and the constant coordinates fold away.  Its
+cost, some 15 NumPy calls per primitive of the case, pays off only on many
+cells, so only cases of at least `_FOLD_CELLS` cells in a chunk whose mesh
+is not kept are folded.
 """
 
 from __future__ import annotations
@@ -531,7 +534,7 @@ def _plan(d: int, case: int) -> tuple:
     edges = [e for e in range(d * 2 ** (d - 1)) if (case >> _A[e] ^ case >> _B[e]) & 1]
     rows = np.array([[_A[e], _B[e], _AXES[e]] for e in edges], dtype=np.intp).reshape(-1, 3).T
     primitives, read = [], set()
-    for primitive in (SEGMENTS if d == 2 else TRIANGLES)[case]:
+    for primitive in _CASES[d].table[case]:
         steps, registers = _primitive(primitive)
         primitives.append(steps)
         read |= registers
@@ -546,12 +549,13 @@ class _Cases:
 
     `bits` holds each corner's bit, `faces` per case a bit per face of
     `_FACES[d]` whose corners alternate diagonally in sign, and `centers`
-    per axis each face's center.  `counts` holds the primitives per case and
-    `width` the most of any case; `edges` holds per vertex and per row
-    case * width + slot of a primitive the vertex's edge.
+    per axis each face's center.  `table` holds each case's primitives,
+    `counts` their number and `width` the most of any case; `edges` holds
+    per vertex and per row case * width + slot of a primitive the vertex's edge.
     """
 
     def __init__(self, table: tuple, d: int):
+        self.table = table
         self.bits = 1 << np.arange(2**d)
         neg = np.arange(2 ** 2**d)[:, None] & self.bits != 0  # case, corner
         self.faces = np.zeros(2 ** 2**d, dtype=np.intp)
@@ -596,15 +600,7 @@ def _march(p: Polynomial, box: Box, n: int, keep: bool):
         crossed += len(cells)
         cases = (weights * (corners < 0.0)).sum(axis=0, dtype=np.uint8)
         effective = _vote(p, nodes, h, cells, cases)
-        if not keep:
-            total.add(_measures(h, corners, effective))
-            continue
-        for i in range(0, len(cells), _BATCH_CELLS):
-            batch = slice(i, i + _BATCH_CELLS)
-            dump = nodes, cells[batch], cases[batch]
-            measures, primitives = _march_batch(h, corners[:, batch], effective[batch], dump)
-            total.add(measures)
-            kept.append(primitives)
+        total.add(_measures(h, corners, effective, (nodes, cells, cases, kept) if keep else None))
     mesh = None
     if keep:
         mesh = np.empty((0, d * d))
@@ -633,12 +629,14 @@ def _vote(p: Polynomial, nodes: list[np.ndarray], h: np.ndarray, cells: np.ndarr
     return effective
 
 
-def _measures(h: np.ndarray, corners: np.ndarray, effective: np.ndarray) -> np.ndarray:
+def _measures(h: np.ndarray, corners: np.ndarray, effective: np.ndarray, dump=None):
     """The segment lengths or triangle areas of a chunk of cells, in no set
-    order; the columns of `corners` are reordered in place."""
+    order; the columns of `corners` are reordered in place.  With `dump`, the
+    chunk's (nodes, cells, case codes, list), no case is folded, so the cells
+    keep their order, and each `_march_batch` slice appends its primitives."""
     d, table = len(h), _CASES[len(h)]
     counts = np.bincount(effective, minlength=len(table.counts))
-    common = counts >= _FOLD_CELLS
+    common = (counts >= _FOLD_CELLS) & (dump is None)
     rare = len(effective) - int(counts[common].sum())
     out, done = np.empty(int(counts @ table.counts)), 0
     if rare < len(effective):
@@ -656,15 +654,15 @@ def _measures(h: np.ndarray, corners: np.ndarray, effective: np.ndarray) -> np.n
                 size = table.counts[case] * cells.shape[1]
                 _fold(_plan(d, case), cells, h, out[done : done + size].reshape(-1, cells.shape[1]))
                 done += size
-        np.sqrt(out[:done], out=out[:done])
-        if d == 3:
-            out[:done] *= 0.5
         corners, effective = corners[:, :rare], effective[:rare]
     for i in range(0, rare, _BATCH_CELLS):
         batch = slice(i, i + _BATCH_CELLS)
-        measures, _ = _march_batch(h, corners[:, batch], effective[batch])
-        out[done : done + len(measures)] = measures
-        done += len(measures)
+        part = None if dump is None else (dump[0], dump[1][batch], dump[2][batch], dump[3])
+        squares = _march_batch(h, corners[:, batch], effective[batch], part)
+        out[done : done + len(squares)] = squares
+        done += len(squares)
+    np.sqrt(out, out=out)
+    out /= math.factorial(d - 1)
     return out
 
 
@@ -694,11 +692,12 @@ def _fold(plan: tuple, corners: np.ndarray, h: np.ndarray, out: np.ndarray) -> N
 
 
 def _march_batch(h: np.ndarray, corners: np.ndarray, effective: np.ndarray, dump=None):
-    """The segment lengths or triangle areas of a batch of crossed cells, given
-    their corner values and effective case codes.
+    """The squared segment lengths or squared triangle cross-product norms of
+    a batch of crossed cells, as `_fold` gives them, from their corner values
+    and effective case codes.
 
-    With `dump`, the (nodes, cells, case codes) of the batch, it also
-    returns the primitives' rows, dump-order keys and cells.
+    With `dump`, the (nodes, cells, case codes) of the batch and a list, it
+    also appends the primitives' rows, dump-order keys and cells to the list.
     """
     d, m = len(h), corners.shape[1]
     table = _CASES[d]
@@ -711,7 +710,7 @@ def _march_batch(h: np.ndarray, corners: np.ndarray, effective: np.ndarray, dump
     row = effective[cell] * table.width + slot
 
     # Per axis, arrays by vertex (side) and primitive, with the float operations,
-    # in order, of start + t * step, (q - p1) * h and the length or cross-product norm.
+    # in order, of start + t * step, (q - p1) * h and the squared length or norm.
     edge = table.edges.take(row, axis=1)
     va = corners.take(_EDGE_A.take(edge) * m + cell)  # corner-major, m values per corner
     vb = corners.take(_EDGE_B.take(edge) * m + cell)
@@ -720,22 +719,22 @@ def _march_batch(h: np.ndarray, corners: np.ndarray, effective: np.ndarray, dump
     sides = [(x[1:] - x[:1]) * h[j] for j, x in enumerate(points)]
     if d == 2:
         (dx,), (dy,) = sides
-        measures = np.sqrt(dx * dx + dy * dy)
+        squares = dx * dx + dy * dy
     else:
         (a0, b0), (a1, b1), (a2, b2) = sides
         c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-        measures = 0.5 * np.sqrt((c0 * c0 + c1 * c1) + c2 * c2)
-    if dump is None:
-        return measures, None
-    nodes, cells, cases = dump
-    owner = cells[cell]
-    origin = _origins(nodes, owner)
-    rows = np.column_stack([origin[j] + points[j][v] * h[j] for v in range(d) for j in range(d)])
-    key = row  # cubes by (effective case, triangle), squares (case, flipped first, segment)
-    if d == 2:
-        cases = cases.astype(np.intp)
-        key = (2 * cases[cell] + (effective == cases)[cell]) * table.width + slot
-    return measures, (rows, key, owner)
+        squares = (c0 * c0 + c1 * c1) + c2 * c2
+    if dump is not None:
+        nodes, cells, cases, kept = dump
+        owner = cells[cell]
+        first = _origins(nodes, owner)
+        rows = np.column_stack([first[j] + points[j][v] * h[j] for v in range(d) for j in range(d)])
+        key = row  # cubes by (effective case, triangle), squares (case, flipped first, segment)
+        if d == 2:
+            cases = cases.astype(np.intp)
+            key = (2 * cases[cell] + (effective == cases)[cell]) * table.width + slot
+        kept.append((rows, key, owner))
+    return squares
 
 
 def _origins(nodes: list[np.ndarray], cells: np.ndarray) -> list[np.ndarray]:

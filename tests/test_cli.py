@@ -73,6 +73,33 @@ class TestExitCodes:
         assert record["kind"] == "parse_error"
         assert record["message"].endswith("integer limit (at position 0)")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int digit limit"
+    )
+    def test_bound_past_the_int_limit_is_2(self, capsys):
+        # The exponent's 4299 digits parse, but the bound 100 * (10**4299 - 1)
+        # has 4301 digits: one more than Python prints by default.
+        limit = sys.get_int_max_str_digits()
+        exponent = "9" * (limit - 1)
+        args = ["bound", "--poly", f"x1^{exponent}", "--dim", "2", "--box", "0,100"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["kind"] == "parse_error"
+        assert record["message"] == f"the bound is longer than the {limit}-digit integer limit"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int digit limit"
+    )
+    def test_largest_printable_bound(self, capsys):
+        # On [0, 1] the bound is the degree: 10**limit - 1, the largest int
+        # that Python prints by default, prints as before.
+        exponent = "9" * sys.get_int_max_str_digits()
+        code, out, err = run_cli(["bound", "--poly", f"x1^{exponent}", "--dim", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["theorem_bound"] == exponent
+
     def test_bad_box_is_2(self, capsys):
         code, _, _ = run_cli(["bound", "--poly", "x1", "--dim", "1", "--box", "1,0"], capsys)
         assert code == 2

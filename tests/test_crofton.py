@@ -312,6 +312,7 @@ class TestMonteCarlo:
 # Non-dyadic, non-unit boxes: base points and endpoints with odd denominators.
 ODD_BOX_2 = Box.parse("-1/3,5/7;1/2,9/4", 2)
 ODD_BOX_3 = Box.parse("-1/3,5/7;1/2,9/4;-2,-1/5", 3)
+ODD_BOX_4 = Box.parse("-1/3,5/7;1/2,9/4;-2,-1/5;1/9,7/3", 4)
 
 
 def reference_base_points(box, k, scheme):
@@ -370,6 +371,7 @@ class TestIntegerLinePath:
             (ODD_BOX_2, (GridScheme(7), MonteCarloScheme(12, seed=3))),
             (ODD_BOX_3, (GridScheme(3), MonteCarloScheme(6, seed=4))),
             (Box.cube(0, 1, 2), (GridScheme(5), MonteCarloScheme(10, seed=5))),
+            (ODD_BOX_4, (MonteCarloScheme(8, seed=6),)),  # m = 3 base axes per draw
         ],
     )
     def test_random_sparse_polynomials(self, box, schemes):
@@ -420,9 +422,6 @@ class TestIntegerLinePath:
         ]
         # the degree drops to 1 on the line x2 = m2: its one root x1 = 1/4 is inside
         assert lines(planted["vanishing_leading"], 1)[1] == 1
-
-
-ODD_BOX_4 = Box.parse("-1/3,5/7;1/2,9/4;-2,-1/5;1/9,7/3", 4)
 
 
 @pytest.fixture

@@ -269,7 +269,9 @@ class TestMarchingSquaresGolden:
         estimate = measure(p, box, n)
         assert estimate.value.hex() == total_hex
         assert estimate.cells_with_sign_change == crossed
-        segments = measure(p, box, n, keep_mesh=True).mesh
+        kept = measure(p, box, n, keep_mesh=True)
+        assert (kept.value.hex(), kept.cells_with_sign_change) == (total_hex, crossed)
+        segments = kept.mesh
         assert hashlib.sha256(segments.tobytes()).hexdigest() == digest
 
     def test_saddles_cover_both_ambiguous_cases_and_center_signs(self):
@@ -386,7 +388,9 @@ class TestMarchingCubesGolden:
         estimate = measure(p, box, n)
         assert estimate.value.hex() == total_hex
         assert estimate.cells_with_sign_change == crossed
-        triangles = measure(p, box, n, keep_mesh=True).mesh
+        kept = measure(p, box, n, keep_mesh=True)
+        assert (kept.value.hex(), kept.cells_with_sign_change) == (total_hex, crossed)
+        triangles = kept.mesh
         assert hashlib.sha256(triangles.tobytes()).hexdigest() == digest
 
     def test_face_votes_go_both_ways(self):
@@ -781,15 +785,27 @@ class TestFoldedKernel:
         # and with none: the totals and crossed counts of the default split.
         meshes = [(t, b, n, 2, total, crossed) for _, t, b, n, total, crossed, _ in _SQUARES_GOLDEN]
         meshes += [(t, b, n, 3, total, crossed) for _, t, b, n, total, crossed, _ in _CUBES_GOLDEN]
+        sharpness = []
         for d, n in ((2, 2048), (3, 128)):
             for k in (8, 64, 512):
                 default = measure(sharpness_polynomial(d, k), Box.cube(0, 1, d), n)
-                meshes.append((str(sharpness_polynomial(d, k)), "0,1", n, d, default.value.hex(),
-                               default.cells_with_sign_change))
+                sharpness.append((str(sharpness_polynomial(d, k)), "0,1", n, d,
+                                  default.value.hex(), default.cells_with_sign_change))
+        meshes += sharpness
         monkeypatch.setattr(meshing, "_FOLD_CELLS", fold)
         for text, box, n, d, total, crossed in meshes:
             estimate = measure(parse_polynomial(text, d), Box.parse(box, d), n)
             assert (estimate.value.hex(), estimate.cells_with_sign_change) == (total, crossed), text
+
+        # A kept mesh folds no case, whatever `_FOLD_CELLS` says, and its
+        # totals are those of the unkept mesh.
+        def no_fold(*args):
+            raise AssertionError("a kept mesh was folded")
+
+        monkeypatch.setattr(meshing, "_fold", no_fold)
+        for text, box, n, d, total, crossed in sharpness:
+            kept = measure(parse_polynomial(text, d), Box.parse(box, d), n, keep_mesh=True)
+            assert (kept.value.hex(), kept.cells_with_sign_change) == (total, crossed), text
 
     @pytest.mark.parametrize(
         "text, box, n, d",
